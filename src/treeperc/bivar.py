@@ -11,12 +11,13 @@ major, t-degree minor) so equal polynomials serialize identically.
 
 Products switch between schoolbook convolution and Kronecker substitution
 (packing each polynomial into one huge integer so Python's subquadratic int
-multiplication does the convolution).  The packing handles signed coefficients
-by splitting into positive and negative parts; slot width is chosen from the
-product of absolute-coefficient sums, which bounds every convolution entry.
-If gmpy2 is installed its multiplication is used for very large packed
-integers; the pure-Python fallback is exact and fast enough for all documented
-workloads.
+multiplication does the convolution).  Each operand packs into one signed
+integer, its positive part minus its negative part, so a product is a single
+big-integer multiply, and a square (``a is b``) a single squaring.  The slot
+width comes from the product of absolute-coefficient sums, which bounds every
+convolution entry and leaves each slot's sign bit free; the product is read
+back one signed slot at a time, adding 1 to each slot that follows a negative
+one (the negative slot borrowed that 1 from it).
 """
 
 from __future__ import annotations
@@ -24,23 +25,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
-try:  # optional GMP fast path, see pyproject extra "perf"
-    from gmpy2 import mpz as _mpz  # type: ignore
-except ImportError:  # pragma: no cover - environment dependent
-    _mpz = None
-
 Term = tuple[int, int, int]
 
-# Above this bit size, gmpy2 (when present) beats Python's int multiply
-# enough to matter; below it the conversion overhead dominates.
-_GMP_BITS = 1 << 16
 # Schoolbook beats packing overhead for small term-count products.
 _SCHOOLBOOK_OPS = 20_000
 
 
 def _big_mul(a: int, b: int) -> int:
-    if _mpz is not None and a.bit_length() + b.bit_length() > _GMP_BITS:
-        return int(_mpz(a) * _mpz(b))
     return a * b
 
 
@@ -58,29 +49,22 @@ def _mul_schoolbook(a: dict[tuple[int, int], int], b: dict[tuple[int, int], int]
     return out
 
 
-def _pack_parts(d: dict[tuple[int, int], int], width: int, slot_bytes: int) -> tuple[int, int]:
-    """Pack positive and negative parts of d into two little-endian integers.
+def _pack(d: dict[tuple[int, int], int], width: int, slot_bytes: int) -> int:
+    """Pack d into one signed integer: sum of c * 2^(8 * slot_bytes * (i*width + j)).
 
-    Slot index of term (i, j) is i*width + j; each slot is slot_bytes wide.
+    Positive and negative coefficients fill two little-endian byte buffers;
+    the packed value is their difference.
     """
-    max_slot = 0
-    for (i, j) in d:
-        s = i * width + j
-        if s > max_slot:
-            max_slot = s
-    pos = bytearray((max_slot + 1) * slot_bytes)
-    neg = bytearray((max_slot + 1) * slot_bytes)
-    has_pos = has_neg = False
+    size = (max(i * width + j for i, j in d) + 1) * slot_bytes
+    pos = bytearray(size)
+    neg = bytearray(size)
     for (i, j), c in d.items():
         off = (i * width + j) * slot_bytes
         if c > 0:
             pos[off:off + slot_bytes] = c.to_bytes(slot_bytes, "little")
-            has_pos = True
         else:
             neg[off:off + slot_bytes] = (-c).to_bytes(slot_bytes, "little")
-            has_neg = True
-    return (int.from_bytes(pos, "little") if has_pos else 0,
-            int.from_bytes(neg, "little") if has_neg else 0)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 def _mul_kronecker(a: dict[tuple[int, int], int], b: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
@@ -89,33 +73,24 @@ def _mul_kronecker(a: dict[tuple[int, int], int], b: dict[tuple[int, int], int])
     deg_xb = max(i for i, _ in b)
     deg_tb = max(j for _, j in b)
     width = deg_ta + deg_tb + 1  # t-slots per x-degree in the product grid
-    # Any product coefficient is bounded by the product of absolute-sum norms,
-    # so this slot width can never overflow into the neighbouring slot.
+    # Any product coefficient is bounded by the product of absolute-sum norms;
+    # this slot width holds that bound plus a sign bit, so no slot overflows.
     bound = sum(abs(c) for c in a.values()) * sum(abs(c) for c in b.values())
     slot_bytes = (bound.bit_length() + 8) // 8
-    ap, an = _pack_parts(a, width, slot_bytes)
-    bp, bn = _pack_parts(b, width, slot_bytes)
-    prod_pos = prod_neg = 0
-    if ap and bp:
-        prod_pos += _big_mul(ap, bp)
-    if an and bn:
-        prod_pos += _big_mul(an, bn)
-    if ap and bn:
-        prod_neg += _big_mul(ap, bn)
-    if an and bp:
-        prod_neg += _big_mul(an, bp)
+    pa = _pack(a, width, slot_bytes)
+    pb = pa if a is b else _pack(b, width, slot_bytes)
     nslots = (deg_xa + deg_xb) * width + deg_ta + deg_tb + 1
-    nbytes = nslots * slot_bytes
-    raw_pos = prod_pos.to_bytes(nbytes, "little")
-    raw_neg = prod_neg.to_bytes(nbytes, "little")
+    raw = _big_mul(pa, pb).to_bytes(nslots * slot_bytes, "little", signed=True)
     out: dict[tuple[int, int], int] = {}
     frombytes = int.from_bytes
+    borrow = 0
     off = 0
     for s in range(nslots):
         end = off + slot_bytes
-        c = frombytes(raw_pos[off:end], "little") - frombytes(raw_neg[off:end], "little")
-        if c:
-            out[divmod(s, width)] = c
+        c = frombytes(raw[off:end], "little", signed=True)
+        if c + borrow:
+            out[divmod(s, width)] = c + borrow
+        borrow = c < 0
         off = end
     return out
 
@@ -285,20 +260,22 @@ class BivarPoly:
         """
         if exponent < 0:
             raise ValueError("negative exponents are not supported")
+        if exponent == 0:
+            return BivarPoly.one()
         base = self if x_truncation is None else self.truncate_x(x_truncation)
-        result = BivarPoly.one()
+        result = None
         e = exponent
-        while e:
+        while True:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
                 if x_truncation is not None:
                     result = result.truncate_x(x_truncation)
             e >>= 1
-            if e:
-                base = base * base
-                if x_truncation is not None:
-                    base = base.truncate_x(x_truncation)
-        return result
+            if not e:
+                return result
+            base = base * base
+            if x_truncation is not None:
+                base = base.truncate_x(x_truncation)
 
     def truncate_x(self, m: int) -> "BivarPoly":
         """Keep terms with x-degree <= m, drop the rest."""
@@ -349,13 +326,6 @@ class BivarPoly:
             elif j in out:
                 del out[j]
         return UniPoly._raw(out)
-
-    def eval_exact(self, x_value: Fraction | int, t_value: Fraction | int) -> Fraction:
-        """Exact evaluation at rational points (small polynomials only)."""
-        total = Fraction(0)
-        for (i, j), c in self._terms.items():
-            total += c * Fraction(x_value) ** i * Fraction(t_value) ** j
-        return total
 
     # -- serialization -----------------------------------------------------
 

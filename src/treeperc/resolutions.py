@@ -9,7 +9,7 @@ complete k-ary tree T(k, n):
 Their graded Betti numbers are packaged as the bivariate generating function
 G(x, t) = sum beta_{i,j}(S/I) x^i t^j over i, j > 0, computed exactly:
 
-    path:  G_{k,1} = (1 + t x)^k - 1,
+    path:  G_{k,0} = x,
            G_{k,n} = (1 + t G_{k,n-1})^k - 1;
     cut:   Gc_{k,n} = x * sum_d c_d t^d (1 + t x)^((d - k)/(k - 1)),
 
@@ -88,8 +88,11 @@ class BettiTable:
         return sum(beta for (ii, _), beta in self._entries.items() if ii == i)
 
     def totals(self) -> tuple[int, ...]:
-        """Total Betti numbers (sum over j) for i = 0..max_i."""
-        return tuple(self.total(i) for i in range(self.max_i + 1))
+        """Total Betti numbers (sum over j) for i = 0..max_i, in one pass."""
+        out = [0] * (self.max_i + 1)
+        for (i, _), beta in self._entries.items():
+            out[i] += beta
+        return tuple(out)
 
     def offset_row(self, r: int, max_i: int | None = None) -> tuple[int, ...]:
         """The row beta_{i, i+r} for i = 1..max_i (default: the table's max_i)."""
@@ -138,11 +141,11 @@ class BettiTable:
         hi = self.max_i if max_i is None else max_i
         hr = self.max_offset() if max_offset is None else max_offset
         cols = list(range(1, hi + 1))
-        rows: list[list[str]] = []
-        rows.append(["total"] + [str(self.total(i)) for i in cols])
+        totals = self.totals()
+        get = self._entries.get
+        rows = [["total"] + [str(totals[i] if i < len(totals) else 0) for i in cols]]
         for r in range(1, hr + 1):
-            cells = [str(self.entry(i, i + r)) if self.entry(i, i + r) else "." for i in cols]
-            rows.append([str(r)] + cells)
+            rows.append([str(r)] + [str(get((i, i + r)) or ".") for i in cols])
         header = ["j-i \\ i"] + [str(i) for i in cols]
         widths = [max(len(header[c]), *(len(row[c]) for row in rows)) for c in range(len(header))]
         out_lines = ["  ".join(h.rjust(w) for h, w in zip(header, widths))]
@@ -175,10 +178,9 @@ def path_gf(k: int, n: int, *, x_truncation: int | None = None,
     dropped terms can never feed back into lower x-degrees).
     """
     _validate_kn(k, n)
-    tx = BivarPoly.monomial(1, 1)
-    g = (BivarPoly.one() + tx).power(k, x_truncation) - 1
+    g = BivarPoly.monomial(1, 0)  # G_{k,0} = x, so level 1 gives (1 + t x)^k - 1
     t = BivarPoly.monomial(0, 1)
-    for _ in range(2, n + 1):
+    for _ in range(n):
         g = (BivarPoly.one() + t * g).power(k, x_truncation) - 1
         _check_poly_budget(g, budget)
     return g

@@ -3,9 +3,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from treeperc import bivar
 from treeperc.bivar import BivarPoly, UniPoly, _mul_kronecker, _mul_schoolbook, eval_rational
 from treeperc.limits import InexactDivisionError
 from treeperc.resolutions import cut_gf, gf_to_numerator
@@ -64,10 +68,40 @@ class TestMul:
         assert p * p == expected
 
     def test_kronecker_matches_schoolbook(self, rng):
+        pairs = []
         for _ in range(25):
             a = term_dict(random_poly(rng))
-            b = term_dict(random_poly(rng))
-            assert _mul_kronecker(a, b) == _mul_schoolbook(a, b)
+            pairs.append((a, term_dict(random_poly(rng))))
+            pairs.append((a, a))  # same object: the squaring path
+        for _ in range(5):
+            neg = {key: -abs(c) for key, c in term_dict(random_poly(rng)).items()}
+            pairs.append((neg, neg))
+            pairs.append((neg, term_dict(random_poly(rng))))
+        pairs.append(({(2, 3): -7}, {(1, 0): 5}))
+        pairs.append(({(0, 0): -1}, {(0, 0): -1}))
+        # Norm sums 127, 128, 255 and 256 put the largest product entries just
+        # under or just over a slot's sign bit; each negative slot below a
+        # nonzero one makes the decode carry its borrow upward.
+        for norm in (127, 128, 255, 256):
+            edge = {(0, 0): -(norm - 1), (0, 1): 1}
+            pairs.append(({(0, 0): -norm}, {(0, 0): 1}))
+            pairs.append(({(0, 0): norm}, {(0, 0): -1}))
+            pairs.append((edge, {(0, 0): 1}))
+            pairs.append((edge, {(1, 0): -1}))
+            pairs.append(({(0, 0): -(norm - 1), (1, 0): 1}, {(0, 0): 1}))
+            pairs.append(({(0, 0): 1, (0, 1): -(norm - 2), (1, 1): 1}, {(0, 0): 1}))
+            pairs.append((edge, edge))
+        for a, b in pairs:
+            assert _mul_kronecker(a, b) == _mul_schoolbook(a, b), (a, b)
+
+    def test_one_big_multiply_per_product(self, monkeypatch):
+        squares = []
+        monkeypatch.setattr(bivar, "_big_mul", lambda x, y: squares.append(x is y) or x * y)
+        a = {(0, 0): 3, (2, 1): -5}
+        b = {(1, 3): 7, (0, 0): -1}
+        _mul_kronecker(a, b)
+        _mul_kronecker(a, a)
+        assert squares == [False, True]
 
     def test_kronecker_large_coefficients(self):
         big = 10 ** 50
@@ -98,6 +132,32 @@ class TestPow:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             (ONE + TX).power(-1)
+
+
+coefficients = st.integers(-300, 300).filter(bool) | st.integers(-(10 ** 40), 10 ** 40).filter(bool)
+term_dicts = st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 6)), coefficients,
+                             min_size=1, max_size=8)
+
+
+class TestKroneckerProperties:
+    """Properties of the packed product, checked against schoolbook."""
+
+    @settings(derandomize=True, database=None, max_examples=100)
+    @given(term_dicts, term_dicts)
+    def test_kronecker_equals_schoolbook(self, a, b):
+        assert _mul_kronecker(a, b) == _mul_schoolbook(a, b)
+        assert _mul_kronecker(a, a) == _mul_schoolbook(a, a)
+
+    @settings(derandomize=True, database=None, max_examples=100)
+    @given(term_dicts, st.integers(0, 6), st.sampled_from([None, -1, 0, 1, 2]))
+    def test_power_equals_repeated_multiplication(self, a, e, m):
+        expected = reduce(lambda acc, _: BivarPoly._raw(_mul_schoolbook(acc._terms, a)),
+                          range(e), ONE)
+        if e and m is not None:  # exponent 0 gives one() untruncated
+            expected = expected.truncate_x(m)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bivar, "_SCHOOLBOOK_OPS", 0)  # every product through Kronecker
+            assert BivarPoly(a).power(e, m) == expected
 
 
 class TestTruncateX:

@@ -18,6 +18,10 @@ coefficient of q^(j+1) in z_{n+1} times C(j-1, i-1).  Coefficientwise the
 Mandelbrot coefficient of q^j converges to catalan(j-1); the check helper
 reports how that empirical limit compares with the off-by-one variant
 catalan(j), which does not stabilize.
+
+The production route to z_n = q + W_{n-1} is ``resolutions.multibrot``;
+``mandelbrot_poly`` here is its independent schoolbook oracle, sharing no code
+with ``BivarPoly``, and the route this module's helpers read.
 """
 
 from __future__ import annotations
@@ -48,13 +52,6 @@ class MandelbrotPolynomial:
     coefficients: tuple[int, ...]
     truncated_at: int | None = None
 
-    @property
-    def degree(self) -> int:
-        d = len(self.coefficients) - 1
-        while d > 0 and self.coefficients[d] == 0:
-            d -= 1
-        return d if (d > 0 or self.coefficients[0] != 0) else -1
-
     def coefficient(self, j: int) -> int:
         if j < 0:
             raise ValueError("coefficient index must be >= 0")
@@ -71,6 +68,10 @@ def mandelbrot_poly(n: int, max_degree: int | None = None,
 
     The degree of z_n is 2^(n-1), so untruncated computation is limited by
     the term budget; pass max_degree to work with a fixed window.
+
+    The schoolbook square is the oracle for ``resolutions.multibrot``, slow
+    but independent of ``BivarPoly``.  It keeps its name because this module's
+    helpers, the verify battery and outside checkers import it by that name.
     """
     if n < 0:
         raise ValueError("mandelbrot index must be >= 0")
@@ -190,10 +191,6 @@ class MandelbrotLimitReport:
     @property
     def empirical_alignment_holds(self) -> bool:
         return self.stabilized_at is not None
-
-    @property
-    def printed_alignment_holds(self) -> bool:
-        return bool(self.values) and self.values[-1][1] == self.printed_target
 
 
 def mandelbrot_catalan_limit_check(j: int, n_max: int | None = None) -> MandelbrotLimitReport:

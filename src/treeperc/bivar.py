@@ -22,7 +22,6 @@ one (the negative slot borrowed that 1 from it).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
 Term = tuple[int, int, int]
@@ -149,24 +148,12 @@ class BivarPoly:
             raise ValueError("negative exponents are not representable")
         return cls._raw({(x_degree, t_degree): coefficient} if coefficient else {})
 
-    @classmethod
-    def from_terms(cls, terms: Iterable[Term]) -> "BivarPoly":
-        return cls(terms)
-
     # -- inspection --------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
 
     @property
     def deg_x(self) -> int:
         """Largest x-degree, or -1 for the zero polynomial."""
         return max((i for i, _ in self._terms), default=-1)
-
-    @property
-    def deg_t(self) -> int:
-        return max((j for _, j in self._terms), default=-1)
 
     def term_count(self) -> int:
         return len(self._terms)
@@ -176,10 +163,6 @@ class BivarPoly:
 
     def coefficient(self, x_degree: int, t_degree: int) -> int:
         return self._terms.get((x_degree, t_degree), 0)
-
-    def x_coefficient(self, x_degree: int) -> "UniPoly":
-        """The coefficient of x^i as a univariate polynomial in t."""
-        return UniPoly({j: c for (i, j), c in self._terms.items() if i == x_degree})
 
     def terms(self) -> tuple[Term, ...]:
         """Canonically ordered terms: x-degree major, t-degree minor."""
@@ -261,7 +244,8 @@ class BivarPoly:
         if exponent < 0:
             raise ValueError("negative exponents are not supported")
         if exponent == 0:
-            return BivarPoly.one()
+            one = BivarPoly.one()
+            return one if x_truncation is None else one.truncate_x(x_truncation)
         base = self if x_truncation is None else self.truncate_x(x_truncation)
         result = None
         e = exponent
@@ -306,14 +290,6 @@ class BivarPoly:
             out[(i - d, j)] = c
         return BivarPoly._raw(out)
 
-    def shift_x(self, d: int) -> "BivarPoly":
-        """Multiply by x^d."""
-        if d < 0:
-            raise ValueError("d must be nonnegative")
-        if d == 0:
-            return self
-        return BivarPoly._raw({(i + d, j): c for (i, j), c in self._terms.items()})
-
     # -- evaluation --------------------------------------------------------
 
     def eval_x1(self) -> "UniPoly":
@@ -332,10 +308,6 @@ class BivarPoly:
     def to_json_obj(self) -> list[dict[str, object]]:
         """JSON form: [{"x": i, "t": j, "c": "<decimal>"}] in canonical order."""
         return [{"x": i, "t": j, "c": str(c)} for i, j, c in self.terms()]
-
-    @classmethod
-    def from_json_obj(cls, obj: Iterable[Mapping[str, object]]) -> "BivarPoly":
-        return cls((int(e["x"]), int(e["t"]), int(str(e["c"]))) for e in obj)
 
     def __str__(self) -> str:
         if not self._terms:
@@ -383,10 +355,6 @@ class UniPoly:
         p = object.__new__(cls)
         p._coeffs = coeffs
         return p
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
 
     @property
     def degree(self) -> int:
@@ -466,8 +434,3 @@ class UniPoly:
 
     def __repr__(self) -> str:
         return f"UniPoly({self})"
-
-
-def eval_rational(u: UniPoly, p: Fraction | int | str) -> Fraction:
-    """Exact Horner evaluation of a univariate polynomial at a rational point."""
-    return u.evaluate(Fraction(p))

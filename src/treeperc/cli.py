@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import asymptotics, percolation, resolutions, verify
+from .bivar import BivarPoly
 from .limits import Budget, BudgetExceededError, DEFAULT_BUDGET, TreepercError
 
 EXIT_OK = 0
@@ -201,11 +202,17 @@ def cmd_asymptotic(args: argparse.Namespace) -> int:
 
 
 def cmd_mandelbrot(args: argparse.Namespace) -> int:
-    poly = asymptotics.mandelbrot_poly(args.n, max_degree=args.m, budget=_budget(args))
+    if args.m is not None and args.m < 0:
+        raise ValueError("--m must be >= 0")
+    z = BivarPoly.zero()  # z_0
+    if args.n:  # z_n = q + W_{n-1}, with q the x variable of the iterate
+        z = resolutions.multibrot(2, args.n - 1, max_degree=args.m, budget=_budget(args))
+        if args.m != 0:
+            z += BivarPoly.monomial(1, 0)
     obj = {
-        "n": poly.n,
-        "coefficients": list(poly.coefficients),
-        "truncated_at": poly.truncated_at,
+        "n": args.n,
+        "coefficients": [z.coefficient(d, 0) for d in range(max(z.deg_x, 0) + 1)],
+        "truncated_at": args.m,
     }
     _emit(_json_text(obj), args.out)
     return EXIT_OK

@@ -86,9 +86,6 @@ class MonomialSet:
     def support_names(self, mask: int) -> tuple[str, ...]:
         return tuple(name for i, name in enumerate(self.variables) if mask >> i & 1)
 
-    def monomial_strings(self) -> list[str]:
-        return ["*".join(self.support_names(g)) for g in self.generators]
-
 
 def tree_variables(spec: TreeSpec) -> tuple[str, ...]:
     return tuple(f"x{label}" for label in range(1, spec.edge_count + 1))

@@ -15,7 +15,9 @@ G(x, t) = sum beta_{i,j}(S/I) x^i t^j over i, j > 0, computed exactly:
 
 where c_d is the coefficient of s^d in the Multibrot iterate W_n of
 W_0 = 0, W_{m+1} = (s + W_m)^k (for k = 2, W_n + s is the Mandelbrot iterate
-z_{n+1} in q = s).  The cut formula solves the bivariate recursion
+z_{n+1} in q = s).  ``multibrot`` is the one place that iterates W, for
+``cut_gf`` and the ``mandelbrot`` command.  The cut formula solves the
+bivariate recursion
 Gc_{k,1} = t^k x, Gc_{k,n} = x^-(k-1) * ((1 + t x)(1 + Gc_{k,n-1}) - 1)^k:
 substituting Gc = x (1 + x t)^(-k/(k-1)) W(s) with s = t (1 + x t)^(1/(k-1))
 turns it into W' = (s + W)^k.  That recursion now lives in
@@ -31,7 +33,7 @@ beta_{0,0} = 1; the ideal convention is the index shift beta_{i-1,j}(I).
 from __future__ import annotations
 
 from math import comb
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .bivar import BivarPoly
 from .limits import DEFAULT_BUDGET, Budget
@@ -129,10 +131,6 @@ class BettiTable:
     def to_json_obj(self) -> list[dict[str, object]]:
         return [{"i": i, "j": j, "beta": str(beta)} for i, j, beta in self.entries()]
 
-    @classmethod
-    def from_json_obj(cls, obj: Iterable[Mapping[str, object]]) -> "BettiTable":
-        return cls({(int(e["i"]), int(e["j"])): int(str(e["beta"])) for e in obj})
-
     def render_layout(self, max_i: int | None = None, max_offset: int | None = None) -> str:
         """Text table in the printed layout: columns i, rows r = j - i.
 
@@ -192,12 +190,41 @@ def cut_x_degree(k: int, n: int) -> int:
     return (k ** n - 1) // (k - 1)
 
 
+def multibrot(k: int, n: int, *, max_degree: int | None = None,
+              budget: Budget = DEFAULT_BUDGET) -> BivarPoly:
+    """The Multibrot iterate W_n of W_0 = 0, W_{m+1} = (s + W_m)^k, in s = x.
+
+    For n >= 1 its support is every d = k + (k - 1) e, 0 <= e < cut_x_degree(k, n),
+    with positive coefficients; for k = 2, s + W_{n-1} is the Mandelbrot z_n.
+    ``max_degree=m`` truncates each power at s-degree m, which is exactly W_n
+    truncated at m; W_n and W_m agree below s^(m+1), so at most m steps run.
+    The budget sees the exact coefficient count before the first product.
+    ``asymptotics.mandelbrot_poly`` is the schoolbook oracle.
+    """
+    if k < 2:
+        raise ValueError("branching factor k must be >= 2")
+    if n < 0:
+        raise ValueError("depth n must be >= 0")
+    if max_degree is not None and max_degree < 0:
+        raise ValueError("max_degree must be >= 0")
+    steps = n if max_degree is None else min(n, max_degree)
+    count = (k ** steps - 1) // (k - 1)
+    if max_degree is not None:
+        count = max(0, min(count, (max_degree - k) // (k - 1) + 1))
+    budget.check_terms(count, f"multibrot({k}, {n}) coefficient count")
+    s = BivarPoly.monomial(1, 0)
+    w = BivarPoly.zero()
+    for _ in range(steps):
+        w = (s + w).power(k, max_degree)
+    return w
+
+
 def cut_gf(k: int, n: int, *, x_truncation: int | None = None,
            budget: Budget = DEFAULT_BUDGET) -> BivarPoly:
     """Gc_{k,n}(x, t) for the cut ideal (the Alexander dual of the path ideal).
 
-    Computed from the Multibrot iterate W_0 = 0, W_{m+1} = (s + W_m)^k in one
-    variable s.  With c_d = [s^d] W_n and e_d = (d - k) / (k - 1),
+    Computed from the Multibrot iterate W_n of ``multibrot``.  With
+    c_d = [s^d] W_n and e_d = (d - k) / (k - 1),
 
         Gc_{k,n}(x, t) = x * sum_d c_d t^d (1 + x t)^(e_d),
 
@@ -220,11 +247,7 @@ def cut_gf(k: int, n: int, *, x_truncation: int | None = None,
         return BivarPoly.zero()
     label = f"cut_gf({k}, {n})"
     budget.check_terms(cap * (cap + 1) // 2 + (top - cap) * cap, f"{label} term count")
-    s = BivarPoly.monomial(0, 1)
-    w = BivarPoly.zero()
-    for _ in range(n):
-        w = (s + w).power(k)
-    rows = [(d, (d - k) // (k - 1), c) for _, d, c in w.terms()]
+    rows = [(d, (d - k) // (k - 1), c) for d, _, c in multibrot(k, n, budget=budget).terms()]
     budget.check_bits(max((c * comb(e, min(e // 2, cap - 1))).bit_length() for _, e, c in rows),
                       f"{label} coefficient bits")
     out: dict[tuple[int, int], int] = {}

@@ -75,16 +75,6 @@ class TreeSpec:
         offset = sum(self.k ** l for l in range(1, edge.level))
         return offset + edge.index + 1
 
-    def edge_from_label(self, label: int) -> EdgeId:
-        if not 1 <= label <= self.edge_count:
-            raise ValueError(f"label {label} out of range 1..{self.edge_count}")
-        rem = label - 1
-        level = 1
-        while rem >= self.k ** level:
-            rem -= self.k ** level
-            level += 1
-        return EdgeId(level, rem)
-
     def parent(self, edge: EdgeId) -> EdgeId | None:
         self._check_edge(edge)
         if edge.level == 1:

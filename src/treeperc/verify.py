@@ -26,6 +26,7 @@ from fractions import Fraction
 from math import comb
 
 from . import asymptotics, oracle, percolation, resolutions, trees
+from .bivar import BivarPoly
 
 SCOPES = ("quick", "full")
 
@@ -211,6 +212,23 @@ def _check_cut_routes(scope: str) -> list[CheckResult]:
                              "Multibrot expansion == bivariate recursion, "
                              "untruncated and truncated at m = -1..3", witness))
     return out
+
+
+def _check_mandelbrot_routes(scope: str) -> list[CheckResult]:
+    q = BivarPoly.monomial(1, 0)
+    witness = ""
+    for n in range(9):
+        for m in (None, 0, 1, 3):
+            z = BivarPoly.zero()  # z_0
+            if n:
+                z = resolutions.multibrot(2, n - 1, max_degree=m)
+                if m != 0:
+                    z += q
+            schoolbook = asymptotics.mandelbrot_poly(n, max_degree=m).coefficients
+            if z != BivarPoly({(d, 0): c for d, c in enumerate(schoolbook)}):
+                witness = witness or f"n={n} max_degree={m}"
+    return [_true("mandelbrot_matches_multibrot", not witness,
+                  "q + multibrot(2, n - 1) == schoolbook z_n, n <= 8, m = None, 0, 1, 3", witness)]
 
 
 def _check_duality(scope: str) -> list[CheckResult]:
@@ -503,6 +521,7 @@ _CHECKS = [
     _check_golden_tables,
     _check_numerator_fixtures,
     _check_cut_routes,
+    _check_mandelbrot_routes,
     _check_duality,
     _check_path_totals,
     _check_three_route,

@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 
 import treeperc.verify as verify
+from treeperc.asymptotics import mandelbrot_poly
+from treeperc.bivar import BivarPoly
 from treeperc.cli import EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main, parse_rational
 from treeperc.percolation import CURVE_CSV_HEADER
 from treeperc.resolutions import BettiTable, betti_table, cut_gf
@@ -40,7 +42,7 @@ class TestBetti:
                         "--format", "json")
         assert code == EXIT_OK
         payload = out[: out.index("\n\n")] if "\n\n" in out else out
-        table = BettiTable.from_json_obj(json.loads(payload))
+        table = BettiTable({(e["i"], e["j"]): int(e["beta"]) for e in json.loads(payload)})
         assert table == betti_table(cut_gf(2, 3))
 
     def test_out_file_gets_artifact_only(self, capsys, tmp_path):
@@ -199,9 +201,30 @@ class TestMandelbrot:
         assert code == EXIT_OK
         assert [int(c) for c in obj["coefficients"]] == [0, 1, 1, 2, 5, 6, 6, 4, 1]
 
-    def test_budget(self, capsys):
-        code, _ = run(capsys, "mandelbrot", "--n", "40", "--budget-terms", "100")
-        assert code == EXIT_BUDGET
+    def test_matches_schoolbook_oracle(self, capsys):
+        for n in range(10):
+            for m in (None, 0, 1, 2, 5, 1000):
+                z = mandelbrot_poly(n, max_degree=m)
+                expected = json.dumps({"n": n, "coefficients": list(z.coefficients),
+                                       "truncated_at": m}, indent=2, sort_keys=True) + "\n"
+                argv = ["mandelbrot", "--n", str(n)] + ([] if m is None else ["--m", str(m)])
+                assert run(capsys, *argv) == (EXIT_OK, expected), argv
+
+    def test_negative_truncation_is_usage_error(self, capsys):
+        for n in ("0", "3"):
+            code, out = run(capsys, "mandelbrot", "--n", n, "--m", "-1")
+            assert (code, out) == (EXIT_USAGE, "")
+
+    def test_budget(self, capsys, monkeypatch):
+        # The count of W_39 is refused before a single power is taken.
+        calls = []
+        power = BivarPoly.power
+        monkeypatch.setattr(BivarPoly, "power", lambda *a: calls.append(a) or power(*a))
+        code = main(["mandelbrot", "--n", "40", "--budget-terms", "100"])
+        err = capsys.readouterr().err
+        assert code == EXIT_BUDGET and calls == []
+        assert f"multibrot(2, 39) coefficient count budget exceeded: needed {2 ** 39 - 1}, " \
+               "limit 100" in err
 
 
 class TestVerifyCommand:

@@ -14,6 +14,7 @@ from treeperc.resolutions import (
     cut_gf,
     cut_x_degree,
     gf_to_numerator,
+    multibrot,
     numerator_to_gf,
     path_betti_recursive,
     path_gf,
@@ -72,10 +73,10 @@ class TestCutGf:
         for d1, c1 in base.terms():
             for d2, c2 in base.terms():
                 prod[d1 + d2 + 2] = prod.get(d1 + d2 + 2, 0) + c1 * c2
-        assert g.x_coefficient(1) == UniPoly(prod)
+        assert UniPoly({j: c for i, j, c in g.terms() if i == 1}) == UniPoly(prod)
         # Top corner: single deepest cut of all 8 leaf edges plus... the
         # unique x^7 term is t^14.
-        assert g.x_coefficient(7) == UniPoly({14: 1})
+        assert [(j, c) for i, j, c in g.terms() if i == 7] == [(14, 1)]
 
     def test_x_degree_recursion(self):
         # d_1 = 1, d_n = k d_{n-1} + 1.
@@ -90,7 +91,8 @@ class TestCutGf:
 
     def test_t_degree_is_edge_count(self):
         for k, n in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 2)]:
-            assert cut_gf(k, n).deg_t == sum(k ** i for i in range(1, n + 1))
+            top = max(j for _, j, _ in cut_gf(k, n).terms())
+            assert top == sum(k ** i for i in range(1, n + 1))
 
     def test_truncated_route_matches_full(self):
         for m in (1, 2, 3):
@@ -118,6 +120,36 @@ class TestCutGf:
         assert info.value.needed == (2 ** 40 - 1) * 2 ** 39
 
 
+class TestMultibrot:
+    def test_budget_prediction_is_exact(self):
+        # The coefficient count is checked before the first product; a
+        # budget at the true count passes, one below fails.
+        for k, n, m in ((2, 6, None), (3, 4, None), (2, 6, 9), (3, 4, 10), (2, 3, 1), (2, 12, 5)):
+            w = multibrot(k, n, max_degree=m)
+            count = w.term_count()
+            assert multibrot(k, n, max_degree=m, budget=Budget(max_terms=count)) == w
+            if count:
+                with pytest.raises(BudgetExceededError,
+                                   match=f"multibrot\\({k}, {n}\\) coefficient count budget "
+                                         f"exceeded: needed {count}, limit {count - 1}"):
+                    multibrot(k, n, max_degree=m, budget=Budget(max_terms=count - 1))
+
+    def test_truncation_and_validation(self, monkeypatch):
+        assert multibrot(2, 0) == BivarPoly.zero()
+        assert multibrot(3, 4, max_degree=10) == multibrot(3, 4).truncate_x(10)
+        # W_n agrees with W_m below s^(m+1) once n >= m, so a deep truncated
+        # request stops after m steps.
+        expected = multibrot(2, 6).truncate_x(6)
+        calls = []
+        power = BivarPoly.power
+        monkeypatch.setattr(BivarPoly, "power", lambda *a: calls.append(a) or power(*a))
+        assert multibrot(2, 10 ** 9, max_degree=6) == expected
+        assert len(calls) == 6
+        for bad in ({"k": 1, "n": 2}, {"k": 2, "n": -1}, {"k": 2, "n": 3, "max_degree": -1}):
+            with pytest.raises(ValueError):
+                multibrot(**bad)
+
+
 class TestNumerator:
     def test_sign_rule_depth_one(self):
         assert gf_to_numerator(path_gf(2, 1)) == poly({(1, 1): 2, (2, 2): -1})
@@ -127,7 +159,7 @@ class TestNumerator:
         assert gf_to_numerator(cut_gf(2, 2)) == expected
 
     def test_zero_maps_to_zero(self):
-        assert gf_to_numerator(BivarPoly.zero()).is_zero
+        assert gf_to_numerator(BivarPoly.zero()) == BivarPoly.zero()
 
     def test_involution_with_gf(self):
         for k, n in [(2, 2), (3, 2)]:
@@ -171,7 +203,7 @@ class TestBettiTable:
     def test_csv_and_json_roundtrip(self):
         t = betti_table(cut_gf(2, 2))
         assert t.to_csv().splitlines()[0] == "i,j,beta"
-        assert BettiTable.from_json_obj(t.to_json_obj()) == t
+        assert BettiTable({(e["i"], e["j"]): int(e["beta"]) for e in t.to_json_obj()}) == t
 
     def test_render_layout_matches_printed_shape(self):
         # Printed tables put beta_{c, c+r} at row r, column c.

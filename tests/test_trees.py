@@ -45,8 +45,6 @@ class TestTreeSpec:
         spec = TreeSpec(2, 2)
         labels = [spec.label(EdgeId(level, index)) for level in (1, 2) for index in range(2 ** level)]
         assert labels == [1, 2, 3, 4, 5, 6]
-        for lab in labels:
-            assert spec.label(spec.edge_from_label(lab)) == lab
 
     def test_parent_child_structure(self):
         spec = TreeSpec(2, 2)

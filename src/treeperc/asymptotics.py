@@ -19,7 +19,7 @@ Mandelbrot coefficient of q^j converges to catalan(j-1); the check helper
 reports how that empirical limit compares with the off-by-one variant
 catalan(j), which does not stabilize.
 
-The production route to z_n = q + W_{n-1} is ``resolutions.multibrot``;
+The production route to z_n = q + W_{n-1} is ``resolutions.mandelbrot_iterate``;
 ``mandelbrot_poly`` here is its independent schoolbook oracle, sharing no code
 with ``BivarPoly``, and the route this module's helpers read.
 """
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, factorial
 
-from .limits import DEFAULT_BUDGET, Budget
+from .limits import DEFAULT_BUDGET
 from .resolutions import BettiTable, betti_table, cut_gf
 
 
@@ -62,16 +62,16 @@ class MandelbrotPolynomial:
         return self.coefficients[j]
 
 
-def mandelbrot_poly(n: int, max_degree: int | None = None,
-                    budget: Budget = DEFAULT_BUDGET) -> MandelbrotPolynomial:
+def mandelbrot_poly(n: int, max_degree: int | None = None) -> MandelbrotPolynomial:
     """Compute z_n by iterating z -> z^2 + q with exact integer coefficients.
 
     The degree of z_n is 2^(n-1), so untruncated computation is limited by
     the term budget; pass max_degree to work with a fixed window.
 
-    The schoolbook square is the oracle for ``resolutions.multibrot``, slow
-    but independent of ``BivarPoly``.  It keeps its name because this module's
-    helpers, the verify battery and outside checkers import it by that name.
+    The schoolbook square is the oracle for ``resolutions.mandelbrot_iterate``,
+    slow but independent of ``BivarPoly``.  It keeps its name because this
+    module's helpers, the verify battery and outside checkers import it by
+    that name.
     """
     if n < 0:
         raise ValueError("mandelbrot index must be >= 0")
@@ -79,7 +79,7 @@ def mandelbrot_poly(n: int, max_degree: int | None = None,
     for _ in range(n):
         full_len = max(2 * len(coeffs) - 1, 2)  # z^2 + q has degree >= 1
         out_len = full_len if max_degree is None else min(full_len, max_degree + 1)
-        budget.check_terms(out_len, "mandelbrot coefficient count")
+        DEFAULT_BUDGET.check_terms(out_len, "mandelbrot coefficient count")
         squared = [0] * out_len
         for a, ca in enumerate(coeffs):
             if ca == 0 or a >= out_len:
@@ -122,15 +122,17 @@ def asymptotic_betti_catalan(i: int, j_offset: int) -> int:
     return catalan(j_offset) * comb(j_offset - 1, i - 1)
 
 
-def asymptotic_table(max_offset: int, max_i: int | None = None) -> BettiTable:
+def asymptotic_table(max_offset: int) -> BettiTable:
     """The limiting table as a BettiTable prefix: rows (offsets) 1..max_offset,
-    columns 1..min(offset, max_i)."""
+    columns 1..offset.  Its max_offset (max_offset + 1) / 2 entries are checked
+    against the term budget before the first one is computed."""
     if max_offset < 1:
         raise ValueError("max_offset must be >= 1")
+    DEFAULT_BUDGET.check_terms(max_offset * (max_offset + 1) // 2,
+                               f"asymptotic_table({max_offset}) entry count")
     entries: dict[tuple[int, int], int] = {(0, 0): 1}
-    hi = max_offset if max_i is None else max_i
     for r in range(1, max_offset + 1):
-        for i in range(1, min(r, hi) + 1):
+        for i in range(1, r + 1):
             beta = asymptotic_betti_catalan(i, r)
             if beta:
                 entries[(i, i + r)] = beta
@@ -151,8 +153,7 @@ def betti_from_mandelbrot(n: int, i: int, j_offset: int) -> int:
     return m * comb(j_offset - 1, i - 1)
 
 
-def stabilization_prefix(n: int, table: BettiTable | None = None,
-                         budget: Budget = DEFAULT_BUDGET) -> dict[int, int]:
+def stabilization_prefix(n: int, table: BettiTable | None = None) -> dict[int, int]:
     """For each column i of the depth-n binary cut table, the smallest internal
     degree j at which the table entry first differs from the limit (so the
     table agrees with the limit for all j below it).  Computes the table from
@@ -160,7 +161,7 @@ def stabilization_prefix(n: int, table: BettiTable | None = None,
     if n < 1:
         raise ValueError("depth n must be >= 1")
     if table is None:
-        table = betti_table(cut_gf(2, n, budget=budget))
+        table = betti_table(cut_gf(2, n))
     out: dict[int, int] = {}
     for i in range(1, table.max_i + 1):
         j = 0
@@ -193,15 +194,12 @@ class MandelbrotLimitReport:
         return self.stabilized_at is not None
 
 
-def mandelbrot_catalan_limit_check(j: int, n_max: int | None = None) -> MandelbrotLimitReport:
-    """Track the coefficient of q^j across z_1..z_n_max and report against
+def mandelbrot_catalan_limit_check(j: int) -> MandelbrotLimitReport:
+    """Track the coefficient of q^j across z_1..z_(j+3) and report against
     both candidate limits.  The coefficient stabilizes once n >= j."""
     if j < 1:
         raise ValueError("coefficient index must be >= 1")
-    if n_max is None:
-        n_max = j + 3
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    n_max = j + 3
     values = []
     for n in range(1, n_max + 1):
         values.append((n, mandelbrot_poly(n, max_degree=j).coefficient(j)))
@@ -226,12 +224,12 @@ def mandelbrot_catalan_limit_check(j: int, n_max: int | None = None) -> Mandelbr
 ASYMPTOTIC_CSV_HEADER = "i,j,beta,n"
 
 
-def render_asymptotic_csv(table: BettiTable, n_label: str = "inf") -> str:
-    """CSV rows i,j,beta,n for a (possibly limiting) table; the depth column
-    carries "inf" for the limit."""
+def render_asymptotic_csv(table: BettiTable) -> str:
+    """CSV rows i,j,beta,n for the limiting table; the depth column carries
+    "inf"."""
     lines = [ASYMPTOTIC_CSV_HEADER]
     for i, j, beta in table.entries():
         if i == 0:
             continue
-        lines.append(f"{i},{j},{beta},{n_label}")
+        lines.append(f"{i},{j},{beta},inf")
     return "\n".join(lines) + "\n"

@@ -22,7 +22,7 @@ one (the negative slot borrowed that 1 from it).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterator, Mapping, Union
 
 Term = tuple[int, int, int]
 
@@ -99,26 +99,15 @@ class BivarPoly:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Union[Mapping[tuple[int, int], int], Iterable[Term], None] = None) -> None:
+    def __init__(self, terms: Mapping[tuple[int, int], int] | None = None) -> None:
         clean: dict[tuple[int, int], int] = {}
-        if terms is not None:
-            items: Iterable[tuple[tuple[int, int], int]]
-            if isinstance(terms, Mapping):
-                items = terms.items()
-            else:
-                items = (((i, j), c) for i, j, c in terms)
-            for (i, j), c in items:
-                if not (isinstance(i, int) and isinstance(j, int) and isinstance(c, int)):
-                    raise TypeError("term degrees and coefficients must be ints")
-                if i < 0 or j < 0:
-                    raise ValueError("negative exponents are not representable")
-                if c:
-                    key = (i, j)
-                    v = clean.get(key, 0) + c
-                    if v:
-                        clean[key] = v
-                    elif key in clean:
-                        del clean[key]
+        for (i, j), c in (terms or {}).items():
+            if not (isinstance(i, int) and isinstance(j, int) and isinstance(c, int)):
+                raise TypeError("term degrees and coefficients must be ints")
+            if i < 0 or j < 0:
+                raise ValueError("negative exponents are not representable")
+            if c:
+                clean[(i, j)] = c
         self._terms = clean
 
     @classmethod
@@ -335,19 +324,13 @@ class UniPoly:
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Union[Mapping[int, int], Iterable[tuple[int, int]], None] = None) -> None:
+    def __init__(self, coeffs: Mapping[int, int] | None = None) -> None:
         clean: dict[int, int] = {}
-        if coeffs is not None:
-            items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-            for d, c in items:
-                if d < 0:
-                    raise ValueError("negative exponents are not representable")
-                if c:
-                    v = clean.get(d, 0) + c
-                    if v:
-                        clean[d] = v
-                    elif d in clean:
-                        del clean[d]
+        for d, c in (coeffs or {}).items():
+            if d < 0:
+                raise ValueError("negative exponents are not representable")
+            if c:
+                clean[d] = c
         self._coeffs = clean
 
     @classmethod

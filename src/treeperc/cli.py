@@ -19,7 +19,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import asymptotics, percolation, resolutions, verify
-from .bivar import BivarPoly
 from .limits import Budget, BudgetExceededError, DEFAULT_BUDGET, TreepercError
 
 EXIT_OK = 0
@@ -202,13 +201,7 @@ def cmd_asymptotic(args: argparse.Namespace) -> int:
 
 
 def cmd_mandelbrot(args: argparse.Namespace) -> int:
-    if args.m is not None and args.m < 0:
-        raise ValueError("--m must be >= 0")
-    z = BivarPoly.zero()  # z_0
-    if args.n:  # z_n = q + W_{n-1}, with q the x variable of the iterate
-        z = resolutions.multibrot(2, args.n - 1, max_degree=args.m, budget=_budget(args))
-        if args.m != 0:
-            z += BivarPoly.monomial(1, 0)
+    z = resolutions.mandelbrot_iterate(args.n, max_degree=args.m, budget=_budget(args))
     obj = {
         "n": args.n,
         "coefficients": [z.coefficient(d, 0) for d in range(max(z.deg_x, 0) + 1)],
@@ -306,9 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mandelbrot", help="Mandelbrot polynomial coefficients")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, help="truncate above this q-degree")
-    p.add_argument("--out")
-    p.add_argument("--budget-terms", type=int)
-    p.add_argument("--budget-bits", type=int)
+    common(p)
     p.set_defaults(func=cmd_mandelbrot)
 
     p = sub.add_parser("verify", help="run the self-verification battery")

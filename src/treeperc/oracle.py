@@ -32,13 +32,14 @@ from functools import reduce
 from math import gcd
 
 from .bivar import BivarPoly
-from .limits import DEFAULT_BUDGET, Budget, BudgetExceededError
+from .limits import DEFAULT_BUDGET, BudgetExceededError
 from .resolutions import BettiTable
 from .trees import TreeSpec, enumerate_minimal_cuts, enumerate_path_generators
 
 ORACLE_STATE_CAP = 24  # 2^V states for the exhaustive route
 ORACLE_SUBSET_CAP = 20  # 2^G subsets for the alternating sum
 ORACLE_HOMOLOGY_CAP = 14  # 2^V candidate faces per lattice point
+ORACLE_FRONTIER_CAP = 1 << 20  # partial transversals kept by alexander_dual
 
 
 @dataclass(frozen=True)
@@ -104,8 +105,7 @@ def cut_monomials(spec: TreeSpec) -> MonomialSet:
 # -- bivariate cut recursion ---------------------------------------------------
 
 
-def cut_gf_recursive(k: int, n: int, *, x_truncation: int | None = None,
-                     budget: Budget = DEFAULT_BUDGET) -> BivarPoly:
+def cut_gf_recursive(k: int, n: int, *, x_truncation: int | None = None) -> BivarPoly:
     """Gc_{k,n}(x, t) for the cut ideal by the bivariate recursion.
 
     Recursion: base t^k x, step x^-(k-1) * ((1+tx)(1+Gc) - 1)^k.  Every factor
@@ -134,22 +134,21 @@ def cut_gf_recursive(k: int, n: int, *, x_truncation: int | None = None,
         g = f.power(k, power_trunc).exact_divide_x(k - 1)
         if x_truncation is not None:
             g = g.truncate_x(x_truncation)
-        budget.check_terms(g.term_count())
-        budget.check_bits(g.max_coeff_bits())
+        DEFAULT_BUDGET.check_terms(g.term_count())
+        DEFAULT_BUDGET.check_bits(g.max_coeff_bits())
     return g
 
 
 # -- exhaustive probability ----------------------------------------------------
 
 
-def union_probability_exhaustive(monomials: MonomialSet, r: Fraction | int,
-                                 cap: int = ORACLE_STATE_CAP) -> Fraction:
+def union_probability_exhaustive(monomials: MonomialSet, r: Fraction | int) -> Fraction:
     """Probability that at least one generator has all its variables active,
     each variable independently active with probability r.  Sums all 2^V
     states exactly."""
     nvars = len(monomials.variables)
-    if nvars > cap:
-        raise BudgetExceededError("exhaustive oracle variables", cap, nvars)
+    if nvars > ORACLE_STATE_CAP:
+        raise BudgetExceededError("exhaustive oracle variables", ORACLE_STATE_CAP, nvars)
     gens = monomials.generators
     counts = [0] * (nvars + 1)
     for state in range(1 << nvars):
@@ -163,24 +162,22 @@ def union_probability_exhaustive(monomials: MonomialSet, r: Fraction | int,
                start=Fraction(0))
 
 
-def reliability_exhaustive(spec: TreeSpec, p: Fraction | int,
-                           cap: int = ORACLE_STATE_CAP) -> Fraction:
+def reliability_exhaustive(spec: TreeSpec, p: Fraction | int) -> Fraction:
     """Percolation probability of T(k, n) by exhaustive enumeration of edge
     states: at least one root-to-leaf path fully operative."""
-    return union_probability_exhaustive(path_monomials(spec), p, cap)
+    return union_probability_exhaustive(path_monomials(spec), p)
 
 
-def failure_exhaustive(spec: TreeSpec, q: Fraction | int,
-                       cap: int = ORACLE_STATE_CAP) -> Fraction:
+def failure_exhaustive(spec: TreeSpec, q: Fraction | int) -> Fraction:
     """Failure probability by the cut route: at least one minimal cut fully
     failed, each edge failing with probability q."""
-    return union_probability_exhaustive(cut_monomials(spec), q, cap)
+    return union_probability_exhaustive(cut_monomials(spec), q)
 
 
 # -- alternating subset sum ----------------------------------------------------
 
 
-def taylor_numerator(monomials: MonomialSet, cap: int = ORACLE_SUBSET_CAP) -> BivarPoly:
+def taylor_numerator(monomials: MonomialSet) -> BivarPoly:
     """The alternating sum over nonempty generator subsets S of
     (-1)^(|S|+1) x^|S| t^deg(lcm S).
 
@@ -191,8 +188,8 @@ def taylor_numerator(monomials: MonomialSet, cap: int = ORACLE_SUBSET_CAP) -> Bi
     """
     gens = monomials.generators
     g = len(gens)
-    if g > cap:
-        raise BudgetExceededError("subset-sum oracle generators", cap, g)
+    if g > ORACLE_SUBSET_CAP:
+        raise BudgetExceededError("subset-sum oracle generators", ORACLE_SUBSET_CAP, g)
     lcm = [0] * (1 << g)
     acc: dict[tuple[int, int], int] = {}
     for s in range(1, 1 << g):
@@ -207,13 +204,12 @@ def taylor_numerator(monomials: MonomialSet, cap: int = ORACLE_SUBSET_CAP) -> Bi
 # -- Alexander duality ---------------------------------------------------------
 
 
-def alexander_dual(monomials: MonomialSet, cap: int = ORACLE_STATE_CAP,
-                   frontier_cap: int = 1 << 20) -> MonomialSet:
+def alexander_dual(monomials: MonomialSet) -> MonomialSet:
     """Minimal transversals (hitting sets) of the generator supports, i.e. the
     generators of the Alexander dual.  Involutive: dual of dual is the input."""
     nvars = len(monomials.variables)
-    if nvars > cap:
-        raise BudgetExceededError("dual oracle variables", cap, nvars)
+    if nvars > ORACLE_STATE_CAP:
+        raise BudgetExceededError("dual oracle variables", ORACLE_STATE_CAP, nvars)
     frontier = {0}
     for g in monomials.generators:
         new: set[int] = set()
@@ -226,8 +222,8 @@ def alexander_dual(monomials: MonomialSet, cap: int = ORACLE_STATE_CAP,
                     low = bits & -bits
                     new.add(mask | low)
                     bits ^= low
-        if len(new) > frontier_cap:
-            raise BudgetExceededError("transversal frontier", frontier_cap, len(new))
+        if len(new) > ORACLE_FRONTIER_CAP:
+            raise BudgetExceededError("transversal frontier", ORACLE_FRONTIER_CAP, len(new))
         frontier = new
     minimal: list[int] = []
     for mask in sorted(frontier, key=lambda m: (m.bit_count(), m)):
@@ -331,14 +327,13 @@ def lcm_lattice(monomials: MonomialSet) -> list[int]:
     return sorted(sets)
 
 
-def multigraded_betti_homology(monomials: MonomialSet,
-                               cap: int = ORACLE_HOMOLOGY_CAP) -> BettiTable:
+def multigraded_betti_homology(monomials: MonomialSet) -> BettiTable:
     """Graded Betti numbers of the quotient by the monomial ideal, from the
     reduced homology of upper Koszul subcomplexes over the lcm lattice:
     the table entry at column d + 2, degree |b| collects dim H_d at b."""
     nvars = len(monomials.variables)
-    if nvars > cap:
-        raise BudgetExceededError("homology oracle variables", cap, nvars)
+    if nvars > ORACLE_HOMOLOGY_CAP:
+        raise BudgetExceededError("homology oracle variables", ORACLE_HOMOLOGY_CAP, nvars)
     entries: dict[tuple[int, int], int] = {(0, 0): 1}
     for b in lcm_lattice(monomials):
         faces = _koszul_faces(b, monomials.generators)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .bivar import UniPoly
 from .limits import DEFAULT_BUDGET, Budget, NoRealRootError, PoleError
@@ -68,6 +68,17 @@ def failure_exact(k: int, n: int, q: Number) -> Number:
     return 1 - percolation_exact(k, n, 1 - q)
 
 
+def _bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """A root of f in [lo, hi], given f(lo) > 0 >= f(hi), to BISECTION_TOL."""
+    while hi - lo > BISECTION_TOL / 10:
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def percolation_infinite(k: int, p: Number) -> float:
     """Infinite-depth percolation probability, max(0, 1 - u) for the smallest
     root u in [0, 1] of u = (1 - p(1 - u))^k.
@@ -94,14 +105,8 @@ def percolation_infinite(k: int, p: Number) -> float:
     def f(u: float) -> float:
         return (1.0 - pf * (1.0 - u)) ** k - u
 
-    lo, hi = 0.0, 1.0  # f(0) = (1-p)^k > 0, f(1) = 0
-    while hi - lo > BISECTION_TOL / 10:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return max(0.0, 1.0 - 0.5 * (lo + hi))
+    # f(0) = (1-p)^k > 0, f(1) = 0
+    return max(0.0, 1.0 - _bisect(f, 0.0, 1.0))
 
 
 # -- truncated-resolution bounds ----------------------------------------------
@@ -282,14 +287,7 @@ def cut_fixed_point_m2(k: int, q: Number) -> float:
         raise NoRealRootError(f"z = (z + q)^{k} has no real root at q = {qf} > q* = {q_star(k)}")
     if f(z_min) == 0.0:
         return z_min
-    lo, hi = 0.0, z_min  # f(0) = q^k > 0 >= f(z_min)
-    while hi - lo > BISECTION_TOL / 10:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(f, 0.0, z_min)  # f(0) = q^k > 0 >= f(z_min)
 
 
 def cut_asymptote_closed_form_k2_m2(q: Number) -> float:

@@ -15,14 +15,16 @@ G(x, t) = sum beta_{i,j}(S/I) x^i t^j over i, j > 0, computed exactly:
 
 where c_d is the coefficient of s^d in the Multibrot iterate W_n of
 W_0 = 0, W_{m+1} = (s + W_m)^k (for k = 2, W_n + s is the Mandelbrot iterate
-z_{n+1} in q = s).  ``multibrot`` is the one place that iterates W, for
-``cut_gf`` and the ``mandelbrot`` command.  The cut formula solves the
-bivariate recursion
+z_{n+1} in q = s).  ``multibrot`` is the one place that iterates W; ``cut_gf``
+reads it, and so does ``mandelbrot_iterate``, the one assembly of
+z_n = q + W_{n-1} behind the ``mandelbrot`` command and the verify check
+``mandelbrot_routes``.  The cut formula solves the bivariate recursion
 Gc_{k,1} = t^k x, Gc_{k,n} = x^-(k-1) * ((1 + t x)(1 + Gc_{k,n-1}) - 1)^k:
 substituting Gc = x (1 + x t)^(-k/(k-1)) W(s) with s = t (1 + x t)^(1/(k-1))
 turns it into W' = (s + W)^k.  That recursion now lives in
 ``oracle.cut_gf_recursive`` as the independent route the verify battery
-compares with.  The Hilbert-series numerator is H(x, t) = -G(-x, t); its
+compares with.  The Hilbert-series numerator is H(x, t) = -G(-x, t), an
+involution (G = -H(-x, t), so ``gf_to_numerator`` maps both ways); its
 x = 1 specialization at t = p is the probability that an operative-edge path
 exists (path side) resp. that all paths are blocked (cut side, t = q = 1 - p).
 
@@ -86,9 +88,6 @@ class BettiTable:
     def max_j(self) -> int:
         return max(j for _, j in self._entries)
 
-    def total(self, i: int) -> int:
-        return sum(beta for (ii, _), beta in self._entries.items() if ii == i)
-
     def totals(self) -> tuple[int, ...]:
         """Total Betti numbers (sum over j) for i = 0..max_i, in one pass."""
         out = [0] * (self.max_i + 1)
@@ -131,18 +130,16 @@ class BettiTable:
     def to_json_obj(self) -> list[dict[str, object]]:
         return [{"i": i, "j": j, "beta": str(beta)} for i, j, beta in self.entries()]
 
-    def render_layout(self, max_i: int | None = None, max_offset: int | None = None) -> str:
+    def render_layout(self) -> str:
         """Text table in the printed layout: columns i, rows r = j - i.
 
         A "total" row leads; zero cells print as ".".
         """
-        hi = self.max_i if max_i is None else max_i
-        hr = self.max_offset() if max_offset is None else max_offset
-        cols = list(range(1, hi + 1))
+        cols = list(range(1, self.max_i + 1))
         totals = self.totals()
         get = self._entries.get
-        rows = [["total"] + [str(totals[i] if i < len(totals) else 0) for i in cols]]
-        for r in range(1, hr + 1):
+        rows = [["total"] + [str(totals[i]) for i in cols]]
+        for r in range(1, self.max_offset() + 1):
             rows.append([str(r)] + [str(get((i, i + r)) or ".") for i in cols])
         header = ["j-i \\ i"] + [str(i) for i in cols]
         widths = [max(len(header[c]), *(len(row[c]) for row in rows)) for c in range(len(header))]
@@ -219,6 +216,24 @@ def multibrot(k: int, n: int, *, max_degree: int | None = None,
     return w
 
 
+def mandelbrot_iterate(n: int, *, max_degree: int | None = None,
+                       budget: Budget = DEFAULT_BUDGET) -> BivarPoly:
+    """The Mandelbrot iterate z_n of z_0 = 0, z_{m+1} = z_m^2 + q, in q = x.
+
+    z_n = q + W_{n-1} with W from ``multibrot(2, ...)``; ``max_degree=m``
+    truncates it at q-degree m.  ``asymptotics.mandelbrot_poly`` is the
+    schoolbook oracle.
+    """
+    if n < 0:
+        raise ValueError("depth n must be >= 0")
+    if max_degree is not None and max_degree < 0:
+        raise ValueError("max_degree must be >= 0")
+    if n == 0:
+        return BivarPoly.zero()
+    w = multibrot(2, n - 1, max_degree=max_degree, budget=budget)
+    return w if max_degree == 0 else w + BivarPoly.monomial(1, 0)
+
+
 def cut_gf(k: int, n: int, *, x_truncation: int | None = None,
            budget: Budget = DEFAULT_BUDGET) -> BivarPoly:
     """Gc_{k,n}(x, t) for the cut ideal (the Alexander dual of the path ideal).
@@ -259,13 +274,9 @@ def cut_gf(k: int, n: int, *, x_truncation: int | None = None,
 
 
 def gf_to_numerator(g: BivarPoly) -> BivarPoly:
-    """Hilbert-series numerator H(x, t) = -G(-x, t)."""
+    """Hilbert-series numerator H(x, t) = -G(-x, t); the map is an involution,
+    so it also reads G back off H."""
     return -g.negate_x()
-
-
-def numerator_to_gf(h: BivarPoly) -> BivarPoly:
-    """Inverse of gf_to_numerator (the map is an involution)."""
-    return -h.negate_x()
 
 
 def betti_table(g: BivarPoly) -> BettiTable:
@@ -297,7 +308,7 @@ def _convolve(a: GradedEntries, b: GradedEntries) -> GradedEntries:
     return out
 
 
-def path_betti_recursive(k: int, n: int, budget: Budget = DEFAULT_BUDGET) -> BettiTable:
+def path_betti_recursive(k: int, n: int) -> BettiTable:
     """beta_{i,j}(S/I_{k,n}) by direct convolution, no polynomial engine.
 
     Level step: choose s of the k branches to be homologically active
@@ -319,7 +330,7 @@ def path_betti_recursive(k: int, n: int, budget: Budget = DEFAULT_BUDGET) -> Bet
             for (i, j), v in conv.items():
                 key = (i, j + s)
                 new[key] = new.get(key, 0) + weight * v
-        budget.check_terms(len(new), "Betti entry count")
+        DEFAULT_BUDGET.check_terms(len(new), "Betti entry count")
         table = new
     return BettiTable(table)
 

@@ -18,8 +18,8 @@ from typing import Iterable, NamedTuple
 
 from .limits import BudgetExceededError
 
-# Default cap on enumerated collections (paths, cuts).
-DEFAULT_ENUMERATION_CAP = 2_000_000
+# Cap on enumerated collections (paths, cuts).
+ENUMERATION_CAP = 2_000_000
 
 
 class EdgeId(NamedTuple):
@@ -53,10 +53,6 @@ class TreeSpec:
 
     @property
     def leaf_count(self) -> int:
-        return self.k ** self.n
-
-    @property
-    def path_count(self) -> int:
         return self.k ** self.n
 
     @property
@@ -94,13 +90,13 @@ class TreeSpec:
             raise ValueError(f"edge index {edge.index} out of range at level {edge.level}")
 
 
-def enumerate_path_generators(spec: TreeSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> list[tuple[EdgeId, ...]]:
+def enumerate_path_generators(spec: TreeSpec) -> list[tuple[EdgeId, ...]]:
     """All k^n root-to-leaf paths, each a tuple of EdgeIds from level 1 to n.
 
     Paths are ordered by leaf index, i.e. lexicographically in child choice.
     """
-    if spec.path_count > cap:
-        raise BudgetExceededError("path generator count", cap, spec.path_count)
+    if spec.leaf_count > ENUMERATION_CAP:
+        raise BudgetExceededError("path generator count", ENUMERATION_CAP, spec.leaf_count)
     paths: list[tuple[EdgeId, ...]] = []
     for leaf in range(spec.leaf_count):
         edges = []
@@ -112,15 +108,15 @@ def enumerate_path_generators(spec: TreeSpec, cap: int = DEFAULT_ENUMERATION_CAP
     return paths
 
 
-def enumerate_minimal_cuts(spec: TreeSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> list[frozenset[EdgeId]]:
+def enumerate_minimal_cuts(spec: TreeSpec) -> list[frozenset[EdgeId]]:
     """All minimal cuts: frontiers meeting every root-to-leaf path exactly once.
 
     Recursive structure: each of the k branches below an edge contributes
     either that branch's root edge or a minimal cut of the subtree below it,
     giving the count recursion c(k, n) = (1 + c(k, n-1))^k.
     """
-    if spec.cut_count > cap:
-        raise BudgetExceededError("minimal cut count", cap, spec.cut_count)
+    if spec.cut_count > ENUMERATION_CAP:
+        raise BudgetExceededError("minimal cut count", ENUMERATION_CAP, spec.cut_count)
 
     def subtree_cuts(edge: EdgeId) -> list[frozenset[EdgeId]]:
         # cuts separating edge's lower node from the leaves below it

@@ -215,15 +215,10 @@ def _check_cut_routes(scope: str) -> list[CheckResult]:
 
 
 def _check_mandelbrot_routes(scope: str) -> list[CheckResult]:
-    q = BivarPoly.monomial(1, 0)
     witness = ""
     for n in range(9):
         for m in (None, 0, 1, 3):
-            z = BivarPoly.zero()  # z_0
-            if n:
-                z = resolutions.multibrot(2, n - 1, max_degree=m)
-                if m != 0:
-                    z += q
+            z = resolutions.mandelbrot_iterate(n, max_degree=m)
             schoolbook = asymptotics.mandelbrot_poly(n, max_degree=m).coefficients
             if z != BivarPoly({(d, 0): c for d, c in enumerate(schoolbook)}):
                 witness = witness or f"n={n} max_degree={m}"

@@ -30,7 +30,7 @@ T = BivarPoly.monomial(0, 1)
 
 def _tp(*coeffs: int) -> BivarPoly:
     """Polynomial in t alone from ascending coefficients: _tp(1, 0, 2) = 1 + 2t^2."""
-    return BivarPoly((0, e, c) for e, c in enumerate(coeffs) if c)
+    return BivarPoly({(0, e): c for e, c in enumerate(coeffs)})
 
 
 # -- published cut Betti tables (k = 2) -----------------------------------------
@@ -358,7 +358,7 @@ def test_criterion_12_tensor_fixtures(acceptance):
 
     def numerator_of(table: BettiTable) -> BivarPoly:
         return BivarPoly(
-            (i, j, (-1) ** i * beta) for (i, j), beta in table.as_dict().items())
+            {(i, j): (-1) ** i * beta for (i, j), beta in table.as_dict().items()})
 
     ok_sum = (sum_table.totals() == (1, 5, 10, 10, 5, 1)
               and numerator_of(sum_table) == expected_sum_num)

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from treeperc import asymptotics
 from treeperc.asymptotics import (
     ASYMPTOTIC_CSV_HEADER,
     MandelbrotPolynomial,
@@ -75,9 +76,11 @@ class TestMandelbrotPoly:
     def test_untruncated_coefficient_beyond_degree_is_zero(self):
         assert mandelbrot_poly(3).coefficient(100) == 0
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        # z_9 has 257 coefficients, past a 100-term budget.
+        monkeypatch.setattr(asymptotics, "DEFAULT_BUDGET", Budget(max_terms=100))
         with pytest.raises(BudgetExceededError):
-            mandelbrot_poly(40, budget=Budget(max_terms=1000))
+            mandelbrot_poly(9)
 
     def test_dataclass_fields(self):
         z = mandelbrot_poly(2)

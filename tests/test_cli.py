@@ -7,9 +7,11 @@ from fractions import Fraction
 import pytest
 
 import treeperc.verify as verify
+from treeperc import asymptotics
 from treeperc.asymptotics import mandelbrot_poly
 from treeperc.bivar import BivarPoly
 from treeperc.cli import EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main, parse_rational
+from treeperc.limits import Budget
 from treeperc.percolation import CURVE_CSV_HEADER
 from treeperc.resolutions import BettiTable, betti_table, cut_gf
 
@@ -192,6 +194,20 @@ class TestAsymptotic:
         rows = json.loads(payload)
         assert code == EXIT_OK
         assert {"i": 1, "j": 2, "beta": "1"} in rows
+
+    def test_large_m_refused_before_any_entry(self, capsys, monkeypatch):
+        # --m 5 asks for 15 entries; a 14-term budget refuses it up front.
+        calls = []
+        entry = asymptotics.asymptotic_betti_catalan
+        monkeypatch.setattr(asymptotics, "DEFAULT_BUDGET", Budget(max_terms=14))
+        monkeypatch.setattr(asymptotics, "asymptotic_betti_catalan",
+                            lambda *a: calls.append(a) or entry(*a))
+        code = main(["asymptotic", "--m", "5"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, calls) == (EXIT_BUDGET, "", [])
+        assert "asymptotic_table(5) entry count budget exceeded: needed 15, limit 14" \
+            in captured.err
+        assert main(["asymptotic", "--m", "4"]) == EXIT_OK
 
 
 class TestMandelbrot:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from treeperc import oracle
 from treeperc.bivar import BivarPoly
 from treeperc.limits import BudgetExceededError
 from treeperc.oracle import (
@@ -117,9 +118,15 @@ class TestExhaustiveSweep:
         p = Fraction(2, 7)
         assert reliability_exhaustive(spec, p) + failure_exhaustive(spec, 1 - p) == 1
 
-    def test_state_cap(self):
+    def test_state_cap(self, monkeypatch):
+        # A cap of 5 must refuse the 6-edge (2, 2) tree; the 24-edge cap
+        # refuses the 30-edge (2, 4) tree.
+        with monkeypatch.context() as patched:
+            patched.setattr(oracle, "ORACLE_STATE_CAP", 5)
+            with pytest.raises(BudgetExceededError):
+                reliability_exhaustive(TreeSpec(2, 2), HALF)
         with pytest.raises(BudgetExceededError):
-            reliability_exhaustive(TreeSpec(2, 4), cap=24, p=HALF)
+            reliability_exhaustive(TreeSpec(2, 4), HALF)
 
 
 class TestCutRecursion:
@@ -228,12 +235,14 @@ class TestHomology:
     def test_double_bridge_first_syzygies(self):
         # beta_1 of the quotient counts generators for any monomial ideal.
         table = multigraded_betti_homology(double_bridge_path_monomials())
-        assert table.total(1) == 9
+        assert table.totals()[1] == 9
 
-    def test_variable_cap(self):
-        # The (2,3) tree sits exactly at the 14-variable default cap; one
-        # notch lower must refuse the 6-variable depth-2 instance.
-        with pytest.raises(BudgetExceededError):
-            multigraded_betti_homology(cut_monomials(TreeSpec(2, 2)), cap=5)
+    def test_variable_cap(self, monkeypatch):
+        # A cap of 5 must refuse the 6-variable depth-2 instance; the (2,3)
+        # tree sits exactly at the 14-variable cap, so (2, 4) is refused.
+        with monkeypatch.context() as patched:
+            patched.setattr(oracle, "ORACLE_HOMOLOGY_CAP", 5)
+            with pytest.raises(BudgetExceededError):
+                multigraded_betti_homology(cut_monomials(TreeSpec(2, 2)))
         with pytest.raises(BudgetExceededError):
             multigraded_betti_homology(cut_monomials(TreeSpec(2, 4)))

@@ -14,8 +14,8 @@ from treeperc.resolutions import (
     cut_gf,
     cut_x_degree,
     gf_to_numerator,
+    mandelbrot_iterate,
     multibrot,
-    numerator_to_gf,
     path_betti_recursive,
     path_gf,
     tensor_product_betti,
@@ -150,6 +150,20 @@ class TestMultibrot:
                 multibrot(**bad)
 
 
+class TestMandelbrotIterate:
+    def test_first_iterates_and_validation(self):
+        q = BivarPoly.monomial(1, 0)
+        assert mandelbrot_iterate(0) == mandelbrot_iterate(0, max_degree=3) == BivarPoly.zero()
+        assert mandelbrot_iterate(1) == q
+        assert mandelbrot_iterate(3) == q + q ** 2 + q ** 3 * 2 + q ** 4
+        assert mandelbrot_iterate(3, max_degree=0) == BivarPoly.zero()
+        assert mandelbrot_iterate(3, max_degree=1) == q
+        assert mandelbrot_iterate(3, max_degree=2) == q + q ** 2
+        for n, m in ((-1, None), (0, -1), (3, -1)):
+            with pytest.raises(ValueError):
+                mandelbrot_iterate(n, max_degree=m)
+
+
 class TestNumerator:
     def test_sign_rule_depth_one(self):
         assert gf_to_numerator(path_gf(2, 1)) == poly({(1, 1): 2, (2, 2): -1})
@@ -164,9 +178,9 @@ class TestNumerator:
     def test_involution_with_gf(self):
         for k, n in [(2, 2), (3, 2)]:
             g = cut_gf(k, n)
-            assert numerator_to_gf(gf_to_numerator(g)) == g
+            assert gf_to_numerator(gf_to_numerator(g)) == g
             h = gf_to_numerator(path_gf(k, n))
-            assert gf_to_numerator(numerator_to_gf(h)) == h
+            assert gf_to_numerator(gf_to_numerator(h)) == h
 
 
 class TestBettiTable:
@@ -176,7 +190,7 @@ class TestBettiTable:
 
     def test_cut_24_first_total(self):
         t = betti_table(cut_gf(2, 4))
-        assert t.total(1) == 676
+        assert t.totals()[1] == 676
 
     def test_path_22_totals(self):
         assert betti_table(path_gf(2, 2)).totals() == (1, 4, 6, 4, 1)
@@ -281,7 +295,7 @@ class TestTensorCombination:
     def test_product_generator_count(self):
         p = tensor_product_betti([self.TABLE_I, self.TABLE_J])
         # The product ideal has 2 + 4 = 6 generators, i.e. first total 6.
-        assert p.total(1) == 6
+        assert p.totals()[1] == 6
 
     def test_product_singleton_law(self):
         assert tensor_product_betti([self.TABLE_I]) == self.TABLE_I

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from treeperc import trees
 from treeperc.limits import BudgetExceededError
 from treeperc.trees import (
     EdgeId,
@@ -31,7 +32,7 @@ class TestTreeSpec:
     def test_path_count_is_leaf_count(self):
         for k, n in [(2, 1), (2, 3), (3, 2)]:
             spec = TreeSpec(k, n)
-            assert spec.path_count == spec.leaf_count == k ** n
+            assert len(enumerate_path_generators(spec)) == spec.leaf_count == k ** n
 
     def test_cut_count_recursion(self):
         # c_n = (1 + c_{n-1})^k with c_1 = 1.
@@ -82,9 +83,10 @@ class TestPathGenerators:
             for shallow, deep in zip(path, path[1:]):
                 assert spec.parent(deep) == shallow
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr(trees, "ENUMERATION_CAP", 7)
         with pytest.raises(BudgetExceededError):
-            enumerate_path_generators(TreeSpec(2, 3), cap=7)
+            enumerate_path_generators(TreeSpec(2, 3))
 
 
 class TestMinimalCuts:
@@ -119,9 +121,10 @@ class TestMinimalCuts:
             for edge in cut:
                 assert percolates(spec, all_edges - (cut - {edge}))
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr(trees, "ENUMERATION_CAP", 100)
         with pytest.raises(BudgetExceededError):
-            enumerate_minimal_cuts(TreeSpec(2, 4), cap=100)
+            enumerate_minimal_cuts(TreeSpec(2, 4))
 
 
 class TestPercolates:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
 from typing import Sequence
 
@@ -33,6 +34,41 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {text!r}") from exc
+
+
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
+
+
+def _int_text(value: int) -> str:
+    """Decimal digits of an int of any size.
+
+    str() refuses ints above 4,300 digits and is quadratic in their length.
+    Here the bits are split in halves, each half converted on its own, and
+    the halves recombined as lo + hi * 2^w in exact ``decimal`` arithmetic.
+    """
+    powers: dict[int, Decimal] = {}
+
+    def pow2(w: int) -> Decimal:
+        if w not in powers:
+            powers[w] = Decimal(2) ** w if w <= 128 else pow2(w >> 1) * pow2(w - (w >> 1))
+        return powers[w]
+
+    def digits(n: int, w: int) -> Decimal:
+        if w <= 128:
+            return Decimal(n)
+        half = w >> 1
+        hi = n >> half
+        return digits(n - (hi << half), half) + digits(hi, w - half) * pow2(half)
+
+    n = abs(value)
+    with localcontext(_EXACT):
+        return ("-" if value < 0 else "") + str(digits(n, n.bit_length()))
+
+
+def _exact_text(value: Fraction) -> str:
+    """str(value) for a rational of any size."""
+    text = _int_text(value.numerator)
+    return text if value.denominator == 1 else f"{text}/{_int_text(value.denominator)}"
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -108,7 +144,7 @@ def cmd_percolation(args: argparse.Namespace) -> int:
             value = percolation.percolation_exact(args.k, n, at)
         else:
             value = percolation.failure_exact(args.k, n, at)
-        exact = str(value)
+        exact = _exact_text(value)
         n_field = n
     obj = {
         "k": args.k,
@@ -141,7 +177,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
         "m": result.m,
         "at": str(at),
         "kind": result.kind,
-        "exact": str(result.value),
+        "exact": _exact_text(result.value),
         "float": float(result.value),
         "clamped_float": float(result.clamped),
     }

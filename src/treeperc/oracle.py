@@ -78,9 +78,8 @@ class MonomialSet:
         masks = []
         for sup in supports:
             mask = 0
-            for item in sup:
-                bit = index[item] if isinstance(item, str) else item
-                mask |= 1 << bit
+            for name in sup:
+                mask |= 1 << index[name]
             masks.append(mask)
         return cls(names, tuple(masks))
 
@@ -93,13 +92,11 @@ def tree_variables(spec: TreeSpec) -> tuple[str, ...]:
 
 
 def path_monomials(spec: TreeSpec) -> MonomialSet:
-    supports = [[spec.label(e) - 1 for e in path] for path in enumerate_path_generators(spec)]
-    return MonomialSet.from_supports(tree_variables(spec), supports)
+    return MonomialSet(tree_variables(spec), tuple(enumerate_path_generators(spec)))
 
 
 def cut_monomials(spec: TreeSpec) -> MonomialSet:
-    supports = [[spec.label(e) - 1 for e in cut] for cut in enumerate_minimal_cuts(spec)]
-    return MonomialSet.from_supports(tree_variables(spec), supports)
+    return MonomialSet(tree_variables(spec), tuple(enumerate_minimal_cuts(spec)))
 
 
 # -- bivariate cut recursion ---------------------------------------------------

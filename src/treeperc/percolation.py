@@ -332,20 +332,21 @@ def _grid(samples: int, hi: Fraction = Fraction(1)) -> list[Fraction]:
     return [hi * i / (samples - 1) for i in range(samples)]
 
 
+def _curve_rows(grid: Sequence[Fraction], exact: Callable[[Fraction], Number],
+                lower: Callable[[Fraction], Number], upper: Callable[[Fraction], Number],
+                k: int, n: int, m_lower: int, m_upper: int) -> list[CurveRow]:
+    """One row per grid point, each column evaluated exactly then rounded."""
+    return [CurveRow(p=float(x), exact=float(exact(x)), lower=float(lower(x)),
+                     upper=float(upper(x)), k=k, n=n, m_lower=m_lower, m_upper=m_upper)
+            for x in grid]
+
+
 def curve_rows_path(k: int, n: int, m_lower: int, m_upper: int, samples: int = 101) -> list[CurveRow]:
     """Operating-probability rows: exact curve with even/odd truncation bounds."""
     lower_poly = path_bound_poly(k, n, m_lower)
     upper_poly = path_bound_poly(k, n, m_upper)
-    rows = []
-    for p in _grid(samples):
-        rows.append(CurveRow(
-            p=float(p),
-            exact=float(percolation_exact(k, n, p)),
-            lower=float(lower_poly.evaluate(p)),
-            upper=float(upper_poly.evaluate(p)),
-            k=k, n=n, m_lower=m_lower, m_upper=m_upper,
-        ))
-    return rows
+    return _curve_rows(_grid(samples), lambda p: percolation_exact(k, n, p),
+                       lower_poly.evaluate, upper_poly.evaluate, k, n, m_lower, m_upper)
 
 
 def curve_rows_cut(k: int, n: int, m_lower: int, m_upper: int, samples: int = 101,
@@ -353,16 +354,8 @@ def curve_rows_cut(k: int, n: int, m_lower: int, m_upper: int, samples: int = 10
     """Failure-probability rows on a q-grid (q sits in the p column)."""
     lower_poly = cut_bound_poly(k, n, m_lower)
     upper_poly = cut_bound_poly(k, n, m_upper)
-    rows = []
-    for q in _grid(samples, q_max):
-        rows.append(CurveRow(
-            p=float(q),
-            exact=float(failure_exact(k, n, q)),
-            lower=float(lower_poly.evaluate(q)),
-            upper=float(upper_poly.evaluate(q)),
-            k=k, n=n, m_lower=m_lower, m_upper=m_upper,
-        ))
-    return rows
+    return _curve_rows(_grid(samples, q_max), lambda q: failure_exact(k, n, q),
+                       lower_poly.evaluate, upper_poly.evaluate, k, n, m_lower, m_upper)
 
 
 def curve_rows_cut_dual(k: int, n: int, m_on_lower: int, m_on_upper: int,
@@ -374,17 +367,10 @@ def curve_rows_cut_dual(k: int, n: int, m_on_lower: int, m_on_upper: int,
     """
     lower_poly = cut_bound_poly(k, n, m_on_lower)
     upper_poly = cut_bound_poly(k, n, m_on_upper)
-    rows = []
-    for p in _grid(samples):
-        q = 1 - p
-        rows.append(CurveRow(
-            p=float(p),
-            exact=float(percolation_exact(k, n, p)),
-            lower=float(1 - lower_poly.evaluate(q)),
-            upper=float(1 - upper_poly.evaluate(q)),
-            k=k, n=n, m_lower=m_on_lower, m_upper=m_on_upper,
-        ))
-    return rows
+    return _curve_rows(_grid(samples), lambda p: percolation_exact(k, n, p),
+                       lambda p: 1 - lower_poly.evaluate(1 - p),
+                       lambda p: 1 - upper_poly.evaluate(1 - p),
+                       k, n, m_on_lower, m_on_upper)
 
 
 def curve_figure3(samples: int = 101) -> list[CurveRow]:

@@ -1,32 +1,27 @@
-"""Complete k-ary trees: canonical edge labels, path and cut enumeration.
+"""Complete k-ary trees: breadth-first edge bits, path and cut enumeration.
 
 ``TreeSpec(k, n)`` is the complete k-ary tree of depth n (every internal node
 has exactly k children, all leaves at depth n).  Edges are identified by the
 node at their lower end and labelled x_1, x_2, ... breadth-first, left to
 right within a level, so the k root edges are x_1..x_k, their children
-x_{k+1}.. and so on.
+x_{k+1}.. and so on.  An edge set is an int bitmask in which bit l - 1 is the
+edge x_l; the children of the edge (level, index) are (level + 1, index*k + c)
+for c in 0..k-1.
 
 Path generators are the k^n root-to-leaf edge paths.  Minimal cuts are the
 frontiers: antichains of edges meeting every root-to-leaf path exactly once.
-Both enumerations check an explicit count budget before materializing.
+Both enumerations return one mask per generator and check an explicit count
+budget before materializing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
 
 from .limits import BudgetExceededError
 
 # Cap on enumerated collections (paths, cuts).
 ENUMERATION_CAP = 2_000_000
-
-
-class EdgeId(NamedTuple):
-    """Edge at ``level`` (1-based, root edges are level 1), ``index`` in [0, k^level)."""
-
-    level: int
-    index: int
 
 
 @dataclass(frozen=True)
@@ -63,93 +58,65 @@ class TreeSpec:
             c = (1 + c) ** self.k
         return c
 
-    # -- labels ------------------------------------------------------------
-
-    def label(self, edge: EdgeId) -> int:
-        """Breadth-first 1-based label of an edge (the x_i subscript)."""
-        self._check_edge(edge)
-        offset = sum(self.k ** l for l in range(1, edge.level))
-        return offset + edge.index + 1
-
-    def parent(self, edge: EdgeId) -> EdgeId | None:
-        self._check_edge(edge)
-        if edge.level == 1:
-            return None
-        return EdgeId(edge.level - 1, edge.index // self.k)
-
-    def children(self, edge: EdgeId) -> tuple[EdgeId, ...]:
-        self._check_edge(edge)
-        if edge.level == self.n:
-            return ()
-        return tuple(EdgeId(edge.level + 1, edge.index * self.k + c) for c in range(self.k))
-
-    def _check_edge(self, edge: EdgeId) -> None:
-        if not 1 <= edge.level <= self.n:
-            raise ValueError(f"edge level {edge.level} out of range 1..{self.n}")
-        if not 0 <= edge.index < self.k ** edge.level:
-            raise ValueError(f"edge index {edge.index} out of range at level {edge.level}")
+    def bit(self, level: int, index: int) -> int:
+        """Mask of the edge at ``level`` (1-based, root edges are level 1) and
+        ``index`` in [0, k^level): 1 << (label - 1), where x_label is the
+        edge's breadth-first name."""
+        if not 1 <= level <= self.n:
+            raise ValueError(f"edge level {level} out of range 1..{self.n}")
+        if not 0 <= index < self.k ** level:
+            raise ValueError(f"edge index {index} out of range at level {level}")
+        return 1 << ((self.k ** level - self.k) // (self.k - 1) + index)
 
 
-def enumerate_path_generators(spec: TreeSpec) -> list[tuple[EdgeId, ...]]:
-    """All k^n root-to-leaf paths, each a tuple of EdgeIds from level 1 to n.
+def enumerate_path_generators(spec: TreeSpec) -> list[int]:
+    """All k^n root-to-leaf paths, each the mask of its n edges.
 
     Paths are ordered by leaf index, i.e. lexicographically in child choice.
     """
     if spec.leaf_count > ENUMERATION_CAP:
         raise BudgetExceededError("path generator count", ENUMERATION_CAP, spec.leaf_count)
-    paths: list[tuple[EdgeId, ...]] = []
+    paths = []
     for leaf in range(spec.leaf_count):
-        edges = []
-        idx = leaf
-        for level in range(spec.n, 0, -1):
-            edges.append(EdgeId(level, idx))
-            idx //= spec.k
-        paths.append(tuple(reversed(edges)))
+        mask = 0
+        for level in range(1, spec.n + 1):
+            mask |= spec.bit(level, leaf // spec.k ** (spec.n - level))
+        paths.append(mask)
     return paths
 
 
-def enumerate_minimal_cuts(spec: TreeSpec) -> list[frozenset[EdgeId]]:
+def enumerate_minimal_cuts(spec: TreeSpec) -> list[int]:
     """All minimal cuts: frontiers meeting every root-to-leaf path exactly once.
 
-    Recursive structure: each of the k branches below an edge contributes
+    Recursive structure: each of the k branches below a node contributes
     either that branch's root edge or a minimal cut of the subtree below it,
     giving the count recursion c(k, n) = (1 + c(k, n-1))^k.
     """
     if spec.cut_count > ENUMERATION_CAP:
         raise BudgetExceededError("minimal cut count", ENUMERATION_CAP, spec.cut_count)
 
-    def subtree_cuts(edge: EdgeId) -> list[frozenset[EdgeId]]:
-        # cuts separating edge's lower node from the leaves below it
-        kids = spec.children(edge)
-        if not kids:
-            return []
-        return _combine(kids)
-
-    def _combine(edges: Iterable[EdgeId]) -> list[frozenset[EdgeId]]:
-        options_per_edge = []
-        for e in edges:
-            opts = [frozenset([e])]
-            opts.extend(subtree_cuts(e))
-            options_per_edge.append(opts)
-        combined = [frozenset()]
-        for opts in options_per_edge:
+    def combine(level: int, first: int) -> list[int]:
+        # cuts through the k sibling edges (level, first..first + k - 1)
+        combined = [0]
+        for index in range(first, first + spec.k):
+            opts = [spec.bit(level, index)]
+            if level < spec.n:
+                opts.extend(combine(level + 1, index * spec.k))
             combined = [acc | o for acc in combined for o in opts]
         return combined
 
-    roots = tuple(EdgeId(1, i) for i in range(spec.k))
-    return _combine(roots)
+    return combine(1, 0)
 
 
-def percolates(spec: TreeSpec, working_edges: Iterable[EdgeId]) -> bool:
-    """True iff some root-to-leaf path lies entirely inside working_edges."""
-    working = set(working_edges)
+def percolates(spec: TreeSpec, working: int) -> bool:
+    """True iff some root-to-leaf path lies entirely inside the edge mask
+    ``working``."""
 
-    def reachable(edge: EdgeId) -> bool:
-        if edge not in working:
+    def reachable(level: int, index: int) -> bool:
+        if not working & spec.bit(level, index):
             return False
-        kids = spec.children(edge)
-        if not kids:
+        if level == spec.n:
             return True
-        return any(reachable(c) for c in kids)
+        return any(reachable(level + 1, index * spec.k + c) for c in range(spec.k))
 
-    return any(reachable(EdgeId(1, i)) for i in range(spec.k))
+    return any(reachable(1, i) for i in range(spec.k))

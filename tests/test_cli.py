@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import json
+import random
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -10,7 +13,15 @@ import treeperc.verify as verify
 from treeperc import asymptotics
 from treeperc.asymptotics import mandelbrot_poly
 from treeperc.bivar import BivarPoly
-from treeperc.cli import EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main, parse_rational
+from treeperc.cli import (
+    EXIT_BUDGET,
+    EXIT_CHECK_FAILED,
+    EXIT_OK,
+    EXIT_USAGE,
+    _int_text,
+    main,
+    parse_rational,
+)
 from treeperc.limits import Budget
 from treeperc.percolation import CURVE_CSV_HEADER
 from treeperc.resolutions import BettiTable, betti_table, cut_gf
@@ -19,6 +30,17 @@ from treeperc.resolutions import BettiTable, betti_table, cut_gf
 def run(capsys, *argv: str) -> tuple[int, str]:
     code = main(list(argv))
     return code, capsys.readouterr().out
+
+
+@contextmanager
+def unlimited_int_str():
+    """Lift Python's int/str digit limit for the reference side of a test."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 class TestParseRational:
@@ -98,6 +120,18 @@ class TestPercolation:
         assert obj["exact"] is None
         assert obj["float"] == pytest.approx(8 / 9, abs=1e-10)
 
+    def test_depth_fourteen_prints_every_digit(self, capsys):
+        # Numerator and denominator have ~51,000 digits each, far above
+        # Python's 4,300-digit int/str limit, which stays in force here.
+        p = Fraction(29, 36)
+        code, out = run(capsys, "percolation", "--k", "2", "--n", "14", "--p", "29/36")
+        assert code == EXIT_OK
+        expected = Fraction(1)
+        for _ in range(14):
+            expected = 1 - (1 - p * expected) ** 2
+        with unlimited_int_str():
+            assert Fraction(json.loads(out)["exact"]) == expected
+
     def test_out_of_range_probability(self, capsys):
         code, _ = run(capsys, "percolation", "--k", "2", "--n", "2", "--p", "3/2")
         assert code == EXIT_USAGE
@@ -106,6 +140,20 @@ class TestPercolation:
         assert main(["percolation", "--k", "2", "--n", "2"]) == EXIT_USAGE
         assert main(["percolation", "--k", "2", "--n", "2", "--p", "1/2", "--q", "1/2"]) == EXIT_USAGE
         capsys.readouterr()
+
+
+class TestIntText:
+    def test_equals_str_at_every_size(self):
+        rng = random.Random(20)
+        values = [0, 1, -1, 9, -10, 2 ** 128, 2 ** 129 - 1, -(2 ** 200),
+                  10 ** 4299, 10 ** 4300 - 1, 10 ** 4300, -(10 ** 4300) - 7,
+                  rng.getrandbits(14_284), -rng.getrandbits(14_290)]
+        for size in (1, 64, 127, 129, 1_000, 20_000, 100_000, 200_000):
+            values.extend([rng.getrandbits(size), -rng.getrandbits(size)])
+        values.extend(rng.getrandbits(rng.randint(1, 200_000)) for _ in range(8))
+        texts = [_int_text(v) for v in values]
+        with unlimited_int_str():
+            assert texts == [str(v) for v in values]
 
 
 class TestBound:

@@ -37,10 +37,9 @@ def monomial_strings(ms: MonomialSet) -> list[str]:
 
 
 class TestMonomialSet:
-    def test_from_supports_by_name_and_index(self):
+    def test_from_supports_by_name(self):
         by_name = MonomialSet.from_supports(("a", "b", "c"), [("a", "b"), ("c",)])
-        by_index = MonomialSet.from_supports(("a", "b", "c"), [(0, 1), (2,)])
-        assert by_name == by_index
+        assert by_name == MonomialSet(("a", "b", "c"), (3, 4))
         assert by_name.generators == (3, 4)
 
     def test_support_names_and_strings(self):

@@ -3,8 +3,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeperc.limits import NoRealRootError, PoleError
 from treeperc.percolation import (
@@ -19,8 +22,10 @@ from treeperc.percolation import (
     cut_bound,
     cut_bound_m2_recursive,
     cut_fixed_point_m2,
+    cut_bound_poly,
     failure_exact,
     path_bound,
+    path_bound_poly,
     percolation_exact,
     percolation_infinite,
     q_star,
@@ -166,6 +171,42 @@ class TestCutBound:
         for q in (Fraction(1, 10), Fraction(2, 5), Fraction(4, 5)):
             exact = failure_exact(2, 3, q)
             assert cut_bound(2, 3, 2, q).value <= exact <= cut_bound(2, 3, 1, q).value
+
+
+rationals = st.builds(lambda b, a: Fraction(a % (b + 1), b), st.integers(1, 60), st.integers(0, 10 ** 6))
+small_trees = st.tuples(st.integers(2, 3), st.integers(1, 3))
+
+
+@lru_cache(maxsize=None)
+def exact_polys(k: int, n: int):
+    """Untruncated x = 1 numerators of the path and cut ideals."""
+    return (gf_to_numerator(path_gf(k, n)).eval_x1(),
+            gf_to_numerator(cut_gf(k, n)).eval_x1())
+
+
+cached_path_bound = lru_cache(maxsize=None)(path_bound_poly)
+cached_cut_bound = lru_cache(maxsize=None)(cut_bound_poly)
+
+
+class TestBoundProperties:
+    """Duality and sandwich at random rationals, for k <= 3 and n <= 3."""
+
+    @settings(derandomize=True, database=None, max_examples=100)
+    @given(small_trees, rationals)
+    def test_duality_identity(self, tree, p):
+        # P(p) = 1 - Pfail(1 - p), with each side from its own ideal.
+        operating, failure = exact_polys(*tree)
+        assert operating.evaluate(p) == 1 - failure.evaluate(1 - p)
+        assert operating.evaluate(p) == percolation_exact(*tree, p)
+
+    @settings(derandomize=True, database=None, max_examples=100)
+    @given(small_trees, st.integers(1, 8), rationals)
+    def test_sandwich(self, tree, m, p):
+        # Odd truncations bound from above, even ones from below.
+        exact_op, exact_fail = percolation_exact(*tree, p), failure_exact(*tree, 1 - p)
+        for bound, exact in ((cached_path_bound(*tree, m).evaluate(p), exact_op),
+                             (cached_cut_bound(*tree, m).evaluate(1 - p), exact_fail)):
+            assert bound >= exact if m % 2 else bound <= exact
 
 
 class TestBoundResultClamping:

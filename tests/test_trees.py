@@ -1,4 +1,4 @@
-"""Complete k-ary tree model: edges, path generators, minimal cuts."""
+"""Complete k-ary tree model: edge bits, path generators, minimal cuts."""
 from __future__ import annotations
 
 from itertools import combinations
@@ -8,12 +8,20 @@ import pytest
 from treeperc import trees
 from treeperc.limits import BudgetExceededError
 from treeperc.trees import (
-    EdgeId,
     TreeSpec,
     enumerate_minimal_cuts,
     enumerate_path_generators,
     percolates,
 )
+
+
+def labels(mask: int) -> set[int]:
+    """The x-subscripts of the edges in a mask."""
+    return {i + 1 for i in range(mask.bit_length()) if mask >> i & 1}
+
+
+def all_edges(spec: TreeSpec) -> int:
+    return (1 << spec.edge_count) - 1
 
 
 class TestTreeSpec:
@@ -42,46 +50,42 @@ class TestTreeSpec:
         assert TreeSpec(2, 4).cut_count == 676
         assert TreeSpec(3, 2).cut_count == 8
 
-    def test_labels_are_breadth_first_and_invertible(self):
+    def test_labels_are_breadth_first(self):
         spec = TreeSpec(2, 2)
-        labels = [spec.label(EdgeId(level, index)) for level in (1, 2) for index in range(2 ** level)]
-        assert labels == [1, 2, 3, 4, 5, 6]
-
-    def test_parent_child_structure(self):
-        spec = TreeSpec(2, 2)
-        root = EdgeId(1, 0)
-        assert spec.parent(root) is None
-        kids = spec.children(root)
-        assert kids == (EdgeId(2, 0), EdgeId(2, 1))
-        assert all(spec.parent(child) == root for child in kids)
-        assert spec.children(EdgeId(2, 1)) == ()
+        bits = [spec.bit(level, index) for level in (1, 2) for index in range(2 ** level)]
+        assert bits == [1 << (label - 1) for label in (1, 2, 3, 4, 5, 6)]
 
     def test_out_of_range_edges_rejected(self):
         spec = TreeSpec(2, 2)
         with pytest.raises(ValueError):
-            spec.label(EdgeId(3, 0))
+            spec.bit(3, 0)
         with pytest.raises(ValueError):
-            spec.label(EdgeId(1, 2))
+            spec.bit(1, 2)
+        with pytest.raises(ValueError):
+            spec.bit(0, 0)
+        with pytest.raises(ValueError):
+            spec.bit(2, -1)
 
 
 class TestPathGenerators:
     def test_depth_two_binary_paths_by_label(self):
-        spec = TreeSpec(2, 2)
-        paths = enumerate_path_generators(spec)
-        as_labels = {tuple(spec.label(e) for e in path) for path in paths}
-        assert as_labels == {(1, 3), (1, 4), (2, 5), (2, 6)}
+        paths = enumerate_path_generators(TreeSpec(2, 2))
+        assert [labels(path) for path in paths] == [{1, 3}, {1, 4}, {2, 5}, {2, 6}]
 
     def test_counts(self):
         for k, n in [(2, 1), (2, 3), (3, 1), (3, 2)]:
             assert len(enumerate_path_generators(TreeSpec(k, n))) == k ** n
 
     def test_each_path_walks_root_to_leaf(self):
+        # One edge per level, each the child of the edge above it.
         spec = TreeSpec(3, 2)
         for path in enumerate_path_generators(spec):
-            assert len(path) == spec.n
-            assert path[0].level == 1
-            for shallow, deep in zip(path, path[1:]):
-                assert spec.parent(deep) == shallow
+            chosen = [[i for i in range(spec.k ** level) if path & spec.bit(level, i)]
+                      for level in range(1, spec.n + 1)]
+            assert all(len(at_level) == 1 for at_level in chosen)
+            for (shallow,), (deep,) in zip(chosen, chosen[1:]):
+                assert deep // spec.k == shallow
+            assert path.bit_count() == spec.n
 
     def test_cap_enforced(self, monkeypatch):
         monkeypatch.setattr(trees, "ENUMERATION_CAP", 7)
@@ -91,14 +95,8 @@ class TestPathGenerators:
 
 class TestMinimalCuts:
     def test_depth_two_binary_cuts_by_label(self):
-        spec = TreeSpec(2, 2)
-        cuts = {frozenset(spec.label(e) for e in cut) for cut in enumerate_minimal_cuts(spec)}
-        assert cuts == {
-            frozenset({1, 2}),
-            frozenset({1, 5, 6}),
-            frozenset({2, 3, 4}),
-            frozenset({3, 4, 5, 6}),
-        }
+        cuts = enumerate_minimal_cuts(TreeSpec(2, 2))
+        assert [labels(cut) for cut in cuts] == [{1, 2}, {1, 5, 6}, {2, 3, 4}, {3, 4, 5, 6}]
 
     def test_counts_match_recursion(self):
         for k, n in [(2, 1), (2, 3), (2, 4), (3, 2)]:
@@ -111,15 +109,14 @@ class TestMinimalCuts:
         paths = enumerate_path_generators(spec)
         for cut in enumerate_minimal_cuts(spec):
             for path in paths:
-                assert len(cut.intersection(path)) == 1
+                assert (cut & path).bit_count() == 1
 
     def test_removing_any_edge_uncuts(self):
         spec = TreeSpec(2, 2)
-        all_edges = {EdgeId(level, index) for level in (1, 2) for index in range(2 ** level)}
         for cut in enumerate_minimal_cuts(spec):
-            assert not percolates(spec, all_edges - cut)
-            for edge in cut:
-                assert percolates(spec, all_edges - (cut - {edge}))
+            assert not percolates(spec, all_edges(spec) & ~cut)
+            for label in labels(cut):
+                assert percolates(spec, all_edges(spec) & ~cut | 1 << (label - 1))
 
     def test_cap_enforced(self, monkeypatch):
         monkeypatch.setattr(trees, "ENUMERATION_CAP", 100)
@@ -130,27 +127,23 @@ class TestMinimalCuts:
 class TestPercolates:
     def test_known_depth_two_subsets(self):
         spec = TreeSpec(2, 2)
-        assert percolates(spec, {EdgeId(1, 0), EdgeId(2, 1)})  # labels {1, 4}
-        assert not percolates(spec, {EdgeId(1, 0), EdgeId(2, 2)})  # labels {1, 5}
+        assert percolates(spec, spec.bit(1, 0) | spec.bit(2, 1))  # labels {1, 4}
+        assert not percolates(spec, spec.bit(1, 0) | spec.bit(2, 2))  # labels {1, 5}
 
     def test_empty_set_never_percolates(self):
-        assert not percolates(TreeSpec(2, 1), set())
+        assert not percolates(TreeSpec(2, 1), 0)
 
     def test_full_edge_set_percolates(self):
         spec = TreeSpec(3, 2)
-        edges = {EdgeId(level, index) for level in (1, 2) for index in range(3 ** level)}
-        assert percolates(spec, edges)
+        assert percolates(spec, all_edges(spec))
 
     def test_exhaustive_cross_check_against_path_containment(self):
         # percolates(W) holds iff W contains some root-to-leaf path.
         spec = TreeSpec(2, 2)
-        edges = sorted(
-            (EdgeId(level, index) for level in (1, 2) for index in range(2 ** level)),
-            key=spec.label,
-        )
-        paths = [set(p) for p in enumerate_path_generators(spec)]
+        edges = [1 << i for i in range(spec.edge_count)]
+        paths = enumerate_path_generators(spec)
         for size in range(len(edges) + 1):
             for subset in combinations(edges, size):
-                working = set(subset)
-                expected = any(path <= working for path in paths)
+                working = sum(subset)
+                expected = any(path & working == path for path in paths)
                 assert percolates(spec, working) == expected

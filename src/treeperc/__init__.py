@@ -13,7 +13,6 @@ from __future__ import annotations
 from .asymptotics import (
     MandelbrotLimitReport,
     MandelbrotPolynomial,
-    asymptotic_betti_catalan,
     asymptotic_betti_k2,
     asymptotic_table,
     betti_from_mandelbrot,
@@ -104,7 +103,6 @@ __all__ = [
     "UniPoly",
     "VerifyReport",
     "alexander_dual",
-    "asymptotic_betti_catalan",
     "asymptotic_betti_k2",
     "asymptotic_table",
     "betti_from_mandelbrot",

@@ -10,7 +10,9 @@ internal degree j)
 
 equivalently catalan(j-i) * C(j-i-1, i-1): the first column of the limiting
 table is the Catalan sequence and each antidiagonal is a Catalan multiple of
-a binomial row.
+a binomial row.  ``asymptotic_table`` expands the Catalan-binomial form
+with ``cut_gf``'s row expansion; ``asymptotic_betti_k2`` is the factorial
+form, the independent route the verify battery compares it with.
 
 The finite tables are governed by the Mandelbrot polynomials z_0 = 0,
 z_{m+1} = z_m^2 + q: the depth-n table entry at column i, offset j is the
@@ -29,8 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, factorial
 
-from .limits import DEFAULT_BUDGET
-from .resolutions import BettiTable, betti_table, cut_gf
+from .limits import DEFAULT_BUDGET, check_tree
+from .resolutions import BettiTable, betti_rows, betti_table, cut_gf
 
 
 def catalan(r: int) -> int:
@@ -112,39 +114,26 @@ def asymptotic_betti_k2(i: int, j: int) -> int:
     return quotient
 
 
-def asymptotic_betti_catalan(i: int, j_offset: int) -> int:
-    """The same limit in Catalan-binomial form, catalan(j_offset) * C(j_offset - 1, i - 1),
-    indexed by the offset j - i (the printed-table row)."""
-    if i < 1:
-        raise ValueError("column index i must be >= 1")
-    if j_offset < 1:
-        raise ValueError("offset must be >= 1")
-    return catalan(j_offset) * comb(j_offset - 1, i - 1)
-
-
 def asymptotic_table(max_offset: int) -> BettiTable:
-    """The limiting table as a BettiTable prefix: rows (offsets) 1..max_offset,
-    columns 1..offset.  Its max_offset (max_offset + 1) / 2 entries are checked
-    against the term budget before the first one is computed."""
+    """The limiting table as a BettiTable prefix: rows (offsets) r = 1..max_offset,
+    columns 1..r, entry catalan(r) * C(r - 1, i - 1).  These are ``cut_gf``'s
+    rows read off the Catalan series c_d = catalan(d - 1), d = r + 1.  Its
+    max_offset (max_offset + 1) / 2 entries are checked against the term
+    budget before the first one is computed."""
     if max_offset < 1:
         raise ValueError("max_offset must be >= 1")
-    DEFAULT_BUDGET.check_terms(max_offset * (max_offset + 1) // 2,
-                               f"asymptotic_table({max_offset}) entry count")
-    entries: dict[tuple[int, int], int] = {(0, 0): 1}
-    for r in range(1, max_offset + 1):
-        for i in range(1, r + 1):
-            beta = asymptotic_betti_catalan(i, r)
-            if beta:
-                entries[(i, i + r)] = beta
-    return BettiTable(entries)
+    label = f"asymptotic_table({max_offset})"
+    DEFAULT_BUDGET.check_terms(max_offset * (max_offset + 1) // 2, f"{label} entry count")
+    series = [(d, catalan(d - 1)) for d in range(2, max_offset + 2)]
+    rows = betti_rows(2, series, max_offset, DEFAULT_BUDGET, label)
+    return BettiTable({(0, 0): 1, **rows})
 
 
 def betti_from_mandelbrot(n: int, i: int, j_offset: int) -> int:
     """Depth-n binary cut-ideal Betti number at column i, offset j_offset,
     from the Mandelbrot side: coefficient of q^(j_offset + 1) in z_{n+1}
     times C(j_offset - 1, i - 1)."""
-    if n < 1:
-        raise ValueError("depth n must be >= 1")
+    check_tree(2, n)
     if i < 1:
         raise ValueError("column index i must be >= 1")
     if j_offset < 1:
@@ -158,8 +147,7 @@ def stabilization_prefix(n: int, table: BettiTable | None = None) -> dict[int, i
     degree j at which the table entry first differs from the limit (so the
     table agrees with the limit for all j below it).  Computes the table from
     the cut recursion unless one is supplied."""
-    if n < 1:
-        raise ValueError("depth n must be >= 1")
+    check_tree(2, n)
     if table is None:
         table = betti_table(cut_gf(2, n))
     out: dict[int, int] = {}

@@ -60,3 +60,11 @@ class Budget:
 
 
 DEFAULT_BUDGET = Budget()
+
+
+def check_tree(k: int, n: int | None = None, min_n: int = 1) -> None:
+    """Refuse a tree shape: branching k >= 2 and, when n is given, depth n >= min_n."""
+    if k < 2:
+        raise ValueError("branching factor k must be >= 2")
+    if n is not None and n < min_n:
+        raise ValueError(f"depth n must be >= {min_n}")

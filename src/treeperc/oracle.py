@@ -32,7 +32,7 @@ from functools import reduce
 from math import gcd
 
 from .bivar import BivarPoly
-from .limits import DEFAULT_BUDGET, BudgetExceededError
+from .limits import DEFAULT_BUDGET, BudgetExceededError, check_tree
 from .resolutions import BettiTable
 from .trees import TreeSpec, enumerate_minimal_cuts, enumerate_path_generators
 
@@ -114,10 +114,7 @@ def cut_gf_recursive(k: int, n: int, *, x_truncation: int | None = None) -> Biva
     m + k - 1, which after the exact shift yields precisely the full result
     truncated at m.
     """
-    if k < 2:
-        raise ValueError("branching factor k must be >= 2")
-    if n < 1:
-        raise ValueError("depth n must be >= 1")
+    check_tree(k, n)
     g = BivarPoly.monomial(1, k)
     if x_truncation is not None and x_truncation < 1:
         g = g.truncate_x(x_truncation)

@@ -16,7 +16,8 @@ Arithmetic is type-polymorphic: Fraction in, exact Fraction out; float in,
 float out.  Exact evaluation is used by every acceptance-grade identity; the
 curve samplers use floats (documented, display only).  Note that the exact
 recursion's denominator size doubles per level, so exact deep recursions
-(n beyond ~20) are infeasible by nature, not by implementation.
+(n beyond ~20) are infeasible by nature, not by implementation;
+``percolation_exact`` refuses them against the budget before the work.
 """
 
 from __future__ import annotations
@@ -27,19 +28,12 @@ from fractions import Fraction
 from typing import Callable, Sequence, Union
 
 from .bivar import UniPoly
-from .limits import DEFAULT_BUDGET, Budget, NoRealRootError, PoleError
+from .limits import DEFAULT_BUDGET, Budget, NoRealRootError, PoleError, check_tree
 from .resolutions import cut_gf, cut_x_degree, gf_to_numerator, path_gf
 
 Number = Union[Fraction, int, float]
 
 BISECTION_TOL = 1e-12
-
-
-def _validate_kn(k: int, n: int) -> None:
-    if k < 2:
-        raise ValueError("branching factor k must be >= 2")
-    if n < 0:
-        raise ValueError("depth n must be >= 0")
 
 
 def _validate_prob(value: Number, name: str) -> None:
@@ -51,10 +45,16 @@ def percolation_exact(k: int, n: int, p: Number) -> Number:
     """P_{k,n}(p) by the recursion P_m = 1 - (1 - p P_{m-1})^k, P_0 = 1.
 
     Exact for Fraction/int p, float arithmetic for float p.  Depth 0 is the
-    single-node tree, which percolates with probability 1.
+    single-node tree, which percolates with probability 1.  For exact p = a/b
+    the denominator divides b^E, E = k + ... + k^n the edge count, so
+    E * ceil(log2 b) bits are checked against the budget before the first level.
     """
-    _validate_kn(k, n)
+    check_tree(k, n, min_n=0)
     _validate_prob(p, "p")
+    if not isinstance(p, float):
+        edges = (k ** (n + 1) - k) // (k - 1)
+        DEFAULT_BUDGET.check_bits(edges * (p.denominator - 1).bit_length(),
+                                  f"percolation_exact({k}, {n}) denominator bits")
     prob = p * 0 + 1
     for _ in range(n):
         prob = 1 - (1 - p * prob) ** k
@@ -87,8 +87,7 @@ def percolation_infinite(k: int, p: Number) -> float:
     the comparison is exact for rational p).  The supercritical root is found
     by bisection to 1e-12.
     """
-    if k < 2:
-        raise ValueError("branching factor k must be >= 2")
+    check_tree(k)
     _validate_prob(p, "p")
     if p == 0:
         return 0.0
@@ -169,7 +168,7 @@ def _eval_number(poly: UniPoly, value: Number) -> Number:
 def path_bound(k: int, n: int, m: int, p: Number, budget: Budget = DEFAULT_BUDGET) -> BoundResult:
     """Truncation bound on the percolation probability: odd m from above,
     even m from below; m at or beyond x-degree k^n reproduces the exact value."""
-    _validate_kn(k, n)
+    check_tree(k, n, min_n=0)
     _validate_prob(p, "p")
     value = _eval_number(path_bound_poly(k, n, m, budget), p)
     return BoundResult(value, _bound_kind("path", m, k ** n), k, n, m)
@@ -177,7 +176,7 @@ def path_bound(k: int, n: int, m: int, p: Number, budget: Budget = DEFAULT_BUDGE
 
 def cut_bound(k: int, n: int, m: int, q: Number, budget: Budget = DEFAULT_BUDGET) -> BoundResult:
     """Truncation bound on the failure probability at edge-failure rate q."""
-    _validate_kn(k, n)
+    check_tree(k, n, min_n=0)
     _validate_prob(q, "q")
     value = _eval_number(cut_bound_poly(k, n, m, budget), q)
     return BoundResult(value, _bound_kind("cut", m, cut_x_degree(k, n)), k, n, m)
@@ -189,9 +188,7 @@ def closed_form_path_bound(k: int, n: int, m: int, p: Number) -> Number:
     The m = 2 form has a pole at p = 1/k, the m = 3 form also at p = -1/k
     (the factors (1 - kp) and (1 - k^2 p^2)); evaluation at a pole raises.
     """
-    _validate_kn(k, n)
-    if n < 1:
-        raise ValueError("depth n must be >= 1")
+    check_tree(k, n)
     if m not in (1, 2, 3):
         raise ValueError("closed forms exist for m in {1, 2, 3}")
     _validate_prob(p, "p")
@@ -232,9 +229,7 @@ def cut_bound_m2_recursive(k: int, n: int, q: Number) -> Number:
     the whole x^1 coefficient of the depth-1 numerator (verified in tests).
     Diverges without bound for q above q_star(k); float overflow reports inf.
     """
-    _validate_kn(k, n)
-    if n < 1:
-        raise ValueError("depth n must be >= 1")
+    check_tree(k, n)
     _validate_prob(q, "q")
     value = q ** k
     try:
@@ -248,16 +243,14 @@ def cut_bound_m2_recursive(k: int, n: int, q: Number) -> Number:
 def q_star(k: int) -> float:
     """Critical edge-failure rate (k-1)/k^2 * k^((k-2)/(k-1)) above which the
     first cut bound diverges with depth."""
-    if k < 2:
-        raise ValueError("branching factor k must be >= 2")
+    check_tree(k)
     return (k - 1) / k ** 2 * k ** ((k - 2) / (k - 1))
 
 
 def q_star_exact(k: int) -> Fraction | None:
     """Exact rational value of q_star when the exponent (k-2)/(k-1) is an
     integer — that is k = 2, where q* = 1/4.  None otherwise."""
-    if k < 2:
-        raise ValueError("branching factor k must be >= 2")
+    check_tree(k)
     if (k - 2) % (k - 1) == 0:
         return Fraction(k - 1, k ** 2) * k ** ((k - 2) // (k - 1))
     return None
@@ -270,8 +263,7 @@ def cut_fixed_point_m2(k: int, q: Number) -> float:
     q = q_star(k) the root is the tangency point (double root); above it
     there is no real root and NoRealRootError is raised.
     """
-    if k < 2:
-        raise ValueError("branching factor k must be >= 2")
+    check_tree(k)
     qf = float(q)
     if qf < 0:
         raise ValueError("q must be nonnegative")

@@ -38,7 +38,7 @@ from math import comb
 from typing import Mapping, Sequence
 
 from .bivar import BivarPoly
-from .limits import DEFAULT_BUDGET, Budget
+from .limits import DEFAULT_BUDGET, Budget, check_tree
 
 GradedEntries = dict[tuple[int, int], int]
 
@@ -157,13 +157,6 @@ def _check_poly_budget(poly: BivarPoly, budget: Budget) -> None:
     budget.check_bits(poly.max_coeff_bits())
 
 
-def _validate_kn(k: int, n: int) -> None:
-    if k < 2:
-        raise ValueError("branching factor k must be >= 2")
-    if n < 1:
-        raise ValueError("depth n must be >= 1")
-
-
 def path_gf(k: int, n: int, *, x_truncation: int | None = None,
             budget: Budget = DEFAULT_BUDGET) -> BivarPoly:
     """G_{k,n}(x, t) for the path ideal, by the recursion (1 + t*G)^k - 1.
@@ -172,7 +165,7 @@ def path_gf(k: int, n: int, *, x_truncation: int | None = None,
     x-degree m; the result equals the full polynomial truncated at m (the
     dropped terms can never feed back into lower x-degrees).
     """
-    _validate_kn(k, n)
+    check_tree(k, n)
     g = BivarPoly.monomial(1, 0)  # G_{k,0} = x, so level 1 gives (1 + t x)^k - 1
     t = BivarPoly.monomial(0, 1)
     for _ in range(n):
@@ -183,7 +176,7 @@ def path_gf(k: int, n: int, *, x_truncation: int | None = None,
 
 def cut_x_degree(k: int, n: int) -> int:
     """x-degree of the cut generating function: d_n = k*d_{n-1} + 1, d_1 = 1."""
-    _validate_kn(k, n)
+    check_tree(k, n)
     return (k ** n - 1) // (k - 1)
 
 
@@ -198,10 +191,7 @@ def multibrot(k: int, n: int, *, max_degree: int | None = None,
     The budget sees the exact coefficient count before the first product.
     ``asymptotics.mandelbrot_poly`` is the schoolbook oracle.
     """
-    if k < 2:
-        raise ValueError("branching factor k must be >= 2")
-    if n < 0:
-        raise ValueError("depth n must be >= 0")
+    check_tree(k, n, min_n=0)
     if max_degree is not None and max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     steps = n if max_degree is None else min(n, max_degree)
@@ -224,8 +214,7 @@ def mandelbrot_iterate(n: int, *, max_degree: int | None = None,
     truncates it at q-degree m.  ``asymptotics.mandelbrot_poly`` is the
     schoolbook oracle.
     """
-    if n < 0:
-        raise ValueError("depth n must be >= 0")
+    check_tree(2, n, min_n=0)
     if max_degree is not None and max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     if n == 0:
@@ -255,22 +244,36 @@ def cut_gf(k: int, n: int, *, x_truncation: int | None = None,
     sum_e min(e + 1, m) before W_n is computed, the largest coefficient
     max_d c_d * C(e_d, min(e_d // 2, m - 1)) before the rows are expanded.
     """
-    _validate_kn(k, n)
+    check_tree(k, n)
     top = cut_x_degree(k, n)
     cap = top if x_truncation is None else min(x_truncation, top)
     if cap < 1:
         return BivarPoly.zero()
     label = f"cut_gf({k}, {n})"
     budget.check_terms(cap * (cap + 1) // 2 + (top - cap) * cap, f"{label} term count")
-    rows = [(d, (d - k) // (k - 1), c) for d, _, c in multibrot(k, n, budget=budget).terms()]
+    series = [(d, c) for d, _, c in multibrot(k, n, budget=budget).terms()]
+    return BivarPoly._raw(betti_rows(k, series, cap, budget, label))
+
+
+def betti_rows(k: int, series: Sequence[tuple[int, int]], cap: int, budget: Budget,
+               label: str) -> GradedEntries:
+    """The entries beta_{i,j} = c_d * C(e_d, i - 1), d = j - i + 1, of the
+    positive coefficient series [(d, c_d)], with e_d = (d - k) / (k - 1) and
+    i <= cap.
+
+    ``cut_gf`` reads c_d off W_n; ``asymptotics.asymptotic_table`` reads the
+    depth limit for k = 2, c_d = catalan(d - 1).  The budget sees the largest
+    entry, max_d c_d * C(e_d, min(e_d // 2, cap - 1)), before any row is built.
+    """
+    rows = [(d, (d - k) // (k - 1), c) for d, c in series]
     budget.check_bits(max((c * comb(e, min(e // 2, cap - 1))).bit_length() for _, e, c in rows),
                       f"{label} coefficient bits")
-    out: dict[tuple[int, int], int] = {}
+    out: GradedEntries = {}
     for d, e, c in rows:
         for i in range(min(e + 1, cap)):
             out[(i + 1, d + i)] = c
             c = c * (e - i) // (i + 1)
-    return BivarPoly(out)
+    return out
 
 
 def gf_to_numerator(g: BivarPoly) -> BivarPoly:
@@ -316,7 +319,7 @@ def path_betti_recursive(k: int, n: int) -> BettiTable:
     positive parts, add s to the internal degree for the connecting edges.
     Must agree with betti_table(path_gf(k, n)); the two routes share no code.
     """
-    _validate_kn(k, n)
+    check_tree(k, n)
     table: GradedEntries = {(0, 0): 1}
     for i in range(1, k + 1):
         table[(i, i)] = comb(k, i)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .limits import BudgetExceededError
+from .limits import BudgetExceededError, check_tree
 
 # Cap on enumerated collections (paths, cuts).
 ENUMERATION_CAP = 2_000_000
@@ -36,10 +36,7 @@ class TreeSpec:
     n: int
 
     def __post_init__(self) -> None:
-        if self.k < 2:
-            raise ValueError("branching factor k must be >= 2")
-        if self.n < 1:
-            raise ValueError("depth n must be >= 1")
+        check_tree(self.k, self.n)
 
     @property
     def edge_count(self) -> int:

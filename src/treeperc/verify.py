@@ -152,6 +152,8 @@ _NUMERATOR_N3 = {
     (6, 12): -4, (6, 13): -6,
     (7, 14): 1,
 }
+# The (k, n) trees small enough for the exhaustive, Taylor and duality oracles.
+_ORACLE_TREES = {"quick": [(2, 2), (3, 1)], "full": [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]}
 _MANDELBROT_Z4 = (0, 1, 1, 2, 5, 6, 6, 4, 1)
 _CATALAN_COLUMN = (1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796)
 
@@ -252,10 +254,9 @@ def _check_path_totals(scope: str) -> list[CheckResult]:
 
 
 def _check_three_route(scope: str) -> list[CheckResult]:
-    pairs = [(2, 2), (3, 1)] if scope == "quick" else [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
     ps = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
     out = []
-    for k, n in pairs:
+    for k, n in _ORACLE_TREES[scope]:
         spec = trees.TreeSpec(k, n)
         poly = resolutions.gf_to_numerator(resolutions.path_gf(k, n)).eval_x1()
         ok = True
@@ -274,9 +275,8 @@ def _check_three_route(scope: str) -> list[CheckResult]:
 
 
 def _check_taylor(scope: str) -> list[CheckResult]:
-    pairs = [(2, 2), (3, 1)] if scope == "quick" else [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
     out = []
-    for k, n in pairs:
+    for k, n in _ORACLE_TREES[scope]:
         spec = trees.TreeSpec(k, n)
         for label, mk, gf in (("path", oracle.path_monomials, resolutions.path_gf),
                               ("cut", oracle.cut_monomials, resolutions.cut_gf)):
@@ -291,9 +291,8 @@ def _check_taylor(scope: str) -> list[CheckResult]:
 
 
 def _check_alexander_duality(scope: str) -> list[CheckResult]:
-    pairs = [(2, 2), (3, 1)] if scope == "quick" else [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
     out = []
-    for k, n in pairs:
+    for k, n in _ORACLE_TREES[scope]:
         spec = trees.TreeSpec(k, n)
         pm, cm = oracle.path_monomials(spec), oracle.cut_monomials(spec)
         ok = oracle.alexander_dual(pm) == cm and oracle.alexander_dual(cm) == pm
@@ -410,10 +409,9 @@ def _check_asymptotics(scope: str) -> list[CheckResult]:
             _CATALAN_COLUMN),
         _eq("limit_table_spot_i2_j6", asymptotics.asymptotic_betti_k2(2, 6), 42),
     ]
-    forms_ok = all(
-        asymptotics.asymptotic_betti_k2(i, i + r) == asymptotics.asymptotic_betti_catalan(i, r)
-        for r in range(1, 15) for i in range(1, r + 1)
-    )
+    limit = asymptotics.asymptotic_table(14)
+    forms_ok = all(asymptotics.asymptotic_betti_k2(i, i + r) == limit.entry(i, i + r)
+                   for r in range(1, 15) for i in range(1, r + 1))
     out.append(_true("limit_formula_forms_agree", forms_ok,
                      "factorial form == catalan-binomial form (14 antidiagonals)"))
     rep = asymptotics.mandelbrot_catalan_limit_check(6)

@@ -9,7 +9,6 @@ from treeperc import asymptotics
 from treeperc.asymptotics import (
     ASYMPTOTIC_CSV_HEADER,
     MandelbrotPolynomial,
-    asymptotic_betti_catalan,
     asymptotic_betti_k2,
     asymptotic_table,
     betti_from_mandelbrot,
@@ -23,6 +22,12 @@ from treeperc.limits import Budget, BudgetExceededError
 from treeperc.resolutions import betti_table, cut_gf
 
 CATALAN_PREFIX = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796)
+
+
+@pytest.fixture(scope="module")
+def limit():
+    """The limiting table through offset 12, from the Catalan row expansion."""
+    return asymptotic_table(12)
 
 
 class TestCatalan:
@@ -100,21 +105,21 @@ class TestAsymptoticBetti:
         assert asymptotic_betti_k2(3, 5) == 0
         assert asymptotic_betti_k2(4, 7) == 0
 
-    def test_two_routes_agree(self):
+    def test_two_routes_agree(self, limit):
         for i in range(1, 13):
             for offset in range(i, 13):
-                assert asymptotic_betti_k2(i, i + offset) == asymptotic_betti_catalan(i, offset)
+                assert asymptotic_betti_k2(i, i + offset) == limit.entry(i, i + offset)
 
-    def test_catalan_route_examples(self):
-        assert asymptotic_betti_catalan(2, 4) == 14 * 3
-        assert asymptotic_betti_catalan(5, 3) == 0
+    def test_catalan_route_examples(self, limit):
+        assert limit.entry(2, 2 + 4) == 14 * 3
+        assert limit.entry(5, 5 + 3) == 0
         for offset in range(1, 10):
-            assert asymptotic_betti_catalan(1, offset) == catalan(offset)
+            assert limit.entry(1, 1 + offset) == catalan(offset)
 
-    def test_offset_rows_symmetric(self):
+    def test_offset_rows_symmetric(self, limit):
         # Row r is c_r * C(r-1, i-1), symmetric under i <-> r - i + 1.
         for r in range(1, 13):
-            row = [asymptotic_betti_catalan(i, r) for i in range(1, r + 1)]
+            row = [limit.entry(i, i + r) for i in range(1, r + 1)]
             assert row == row[::-1]
 
     def test_requires_positive_i(self):
@@ -127,7 +132,7 @@ class TestAsymptoticTable:
         t = asymptotic_table(6)
         for i in range(1, 7):
             for offset in range(1, 7):
-                assert t.entry(i, i + offset) == asymptotic_betti_catalan(i, offset)
+                assert t.entry(i, i + offset) == catalan(offset) * comb(offset - 1, i - 1)
 
     def test_csv_schema(self):
         text = render_asymptotic_csv(asymptotic_table(3))
@@ -156,18 +161,18 @@ class TestBettiFromMandelbrot:
 
 
 class TestStabilization:
-    def test_offset_row_five_flips_between_depths(self):
+    def test_offset_row_five_flips_between_depths(self, limit):
         t4 = betti_table(cut_gf(2, 4))
         t5 = betti_table(cut_gf(2, 5))
-        asym = [asymptotic_betti_catalan(i, 5) for i in range(1, 6)]
+        asym = [limit.entry(i, i + 5) for i in range(1, 6)]
         assert asym == [42, 168, 252, 168, 42]
         assert t4.offset_row(5, max_i=5) == (26, 104, 156, 104, 26)
         assert t5.offset_row(5, max_i=5) == (42, 168, 252, 168, 42)
 
-    def test_offset_rows_below_five_already_asymptotic_at_depth_four(self):
+    def test_offset_rows_below_five_already_asymptotic_at_depth_four(self, limit):
         t4 = betti_table(cut_gf(2, 4))
         for r in range(1, 5):
-            expected = tuple(asymptotic_betti_catalan(i, r) for i in range(1, r + 1))
+            expected = tuple(limit.entry(i, i + r) for i in range(1, r + 1))
             assert t4.offset_row(r, max_i=r) == expected
 
     def test_prefixes_nondecreasing_in_depth(self):

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import treeperc.verify as verify
-from treeperc import asymptotics
+from treeperc import asymptotics, cli, percolation
 from treeperc.asymptotics import mandelbrot_poly
 from treeperc.bivar import BivarPoly
 from treeperc.cli import (
@@ -132,6 +132,34 @@ class TestPercolation:
         with unlimited_int_str():
             assert Fraction(json.loads(out)["exact"]) == expected
 
+    def test_oversized_exact_value_refused_before_the_recursion(self, capsys, monkeypatch):
+        # T(2, 3) has 14 edges: p = 1/5 predicts 14 * 3 = 42 denominator bits,
+        # p = 1/3 predicts 14 * 2 = 28.  Every product with p is recorded.
+        products = []
+
+        class Watched(Fraction):
+            def __mul__(self, other):
+                products.append(other)
+                return Fraction.__mul__(self, other)
+
+        monkeypatch.setattr(percolation, "DEFAULT_BUDGET", Budget(max_coeff_bits=28))
+        monkeypatch.setattr(cli, "parse_rational", Watched)
+        code = main(["percolation", "--k", "2", "--n", "3", "--p", "1/5"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, products) == (EXIT_BUDGET, "", [])
+        assert ("percolation_exact(2, 3) denominator bits budget exceeded: "
+                "needed 42, limit 28") in captured.err
+        code, out = run(capsys, "percolation", "--k", "2", "--n", "3", "--p", "1/3")
+        assert code == EXIT_OK and products
+        assert json.loads(out)["exact"] == str(percolation.percolation_exact(2, 3, Fraction(1, 3)))
+
+    def test_default_budget_boundary(self, capsys):
+        # 2^20 - 2 edges times ceil(log2 36) = 6 bits is past the 4,000,000-bit limit.
+        assert main(["percolation", "--k", "2", "--n", "19", "--p", "29/36"]) == EXIT_BUDGET
+        assert "needed 6291444, limit 4000000" in capsys.readouterr().err
+        code, out = run(capsys, "percolation", "--k", "2", "--n", "40", "--p", "1")
+        assert (code, json.loads(out)["exact"]) == (EXIT_OK, "1")
+
     def test_out_of_range_probability(self, capsys):
         code, _ = run(capsys, "percolation", "--k", "2", "--n", "2", "--p", "3/2")
         assert code == EXIT_USAGE
@@ -246,10 +274,9 @@ class TestAsymptotic:
     def test_large_m_refused_before_any_entry(self, capsys, monkeypatch):
         # --m 5 asks for 15 entries; a 14-term budget refuses it up front.
         calls = []
-        entry = asymptotics.asymptotic_betti_catalan
+        entry = asymptotics.catalan
         monkeypatch.setattr(asymptotics, "DEFAULT_BUDGET", Budget(max_terms=14))
-        monkeypatch.setattr(asymptotics, "asymptotic_betti_catalan",
-                            lambda *a: calls.append(a) or entry(*a))
+        monkeypatch.setattr(asymptotics, "catalan", lambda *a: calls.append(a) or entry(*a))
         code = main(["asymptotic", "--m", "5"])
         captured = capsys.readouterr()
         assert (code, captured.out, calls) == (EXIT_BUDGET, "", [])

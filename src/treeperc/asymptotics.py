@@ -31,7 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, factorial
 
-from .limits import DEFAULT_BUDGET, check_tree
+from . import limits
+from .limits import check_tree
 from .resolutions import BettiTable, betti_rows, betti_table, cut_gf
 
 
@@ -81,7 +82,7 @@ def mandelbrot_poly(n: int, max_degree: int | None = None) -> MandelbrotPolynomi
     for _ in range(n):
         full_len = max(2 * len(coeffs) - 1, 2)  # z^2 + q has degree >= 1
         out_len = full_len if max_degree is None else min(full_len, max_degree + 1)
-        DEFAULT_BUDGET.check_terms(out_len, "mandelbrot coefficient count")
+        limits.DEFAULT_BUDGET.check_terms(out_len, "mandelbrot coefficient count")
         squared = [0] * out_len
         for a, ca in enumerate(coeffs):
             if ca == 0 or a >= out_len:
@@ -123,9 +124,9 @@ def asymptotic_table(max_offset: int) -> BettiTable:
     if max_offset < 1:
         raise ValueError("max_offset must be >= 1")
     label = f"asymptotic_table({max_offset})"
-    DEFAULT_BUDGET.check_terms(max_offset * (max_offset + 1) // 2, f"{label} entry count")
+    limits.DEFAULT_BUDGET.check_terms(max_offset * (max_offset + 1) // 2, f"{label} entry count")
     series = [(d, catalan(d - 1)) for d in range(2, max_offset + 2)]
-    rows = betti_rows(2, series, max_offset, DEFAULT_BUDGET, label)
+    rows = betti_rows(2, series, max_offset, label)
     return BettiTable({(0, 0): 1, **rows})
 
 

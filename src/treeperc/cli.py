@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import asymptotics, percolation, resolutions, verify
-from .limits import Budget, BudgetExceededError, DEFAULT_BUDGET, TreepercError
+from .limits import BudgetExceededError, TreepercError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -83,28 +83,17 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _budget(args: argparse.Namespace) -> Budget:
-    terms = getattr(args, "budget_terms", None)
-    bits = getattr(args, "budget_bits", None)
-    if terms is None and bits is None:
-        return DEFAULT_BUDGET
-    return Budget(
-        max_terms=terms if terms is not None else DEFAULT_BUDGET.max_terms,
-        max_coeff_bits=bits if bits is not None else DEFAULT_BUDGET.max_coeff_bits,
-    )
-
-
-def _gf(args: argparse.Namespace, budget: Budget):
+def _gf(args: argparse.Namespace):
     if args.ideal == "path":
-        return resolutions.path_gf(args.k, args.n, budget=budget)
-    return resolutions.cut_gf(args.k, args.n, budget=budget)
+        return resolutions.path_gf(args.k, args.n)
+    return resolutions.cut_gf(args.k, args.n)
 
 
 # -- subcommand bodies ----------------------------------------------------------
 
 
 def cmd_betti(args: argparse.Namespace) -> int:
-    table = resolutions.betti_table(_gf(args, _budget(args)))
+    table = resolutions.betti_table(_gf(args))
     artifact = table.to_csv() if args.format == "csv" else _json_text(table.to_json_obj())
     if args.out:
         _emit(artifact, args.out)
@@ -116,7 +105,7 @@ def cmd_betti(args: argparse.Namespace) -> int:
 
 
 def cmd_hilbert(args: argparse.Namespace) -> int:
-    numerator = resolutions.gf_to_numerator(_gf(args, _budget(args)))
+    numerator = resolutions.gf_to_numerator(_gf(args))
     obj = {
         "ideal": args.ideal,
         "k": args.k,
@@ -159,17 +148,16 @@ def cmd_percolation(args: argparse.Namespace) -> int:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    budget = _budget(args)
     if args.ideal == "path":
         if args.p is None:
             raise ValueError("path bounds take --p")
         at = parse_rational(args.p)
-        result = percolation.path_bound(args.k, args.n, args.m, at, budget)
+        result = percolation.path_bound(args.k, args.n, args.m, at)
     else:
         if args.q is None:
             raise ValueError("cut bounds take --q")
         at = parse_rational(args.q)
-        result = percolation.cut_bound(args.k, args.n, args.m, at, budget)
+        result = percolation.cut_bound(args.k, args.n, args.m, at)
     obj = {
         "ideal": args.ideal,
         "k": result.k,
@@ -237,7 +225,7 @@ def cmd_asymptotic(args: argparse.Namespace) -> int:
 
 
 def cmd_mandelbrot(args: argparse.Namespace) -> int:
-    z = resolutions.mandelbrot_iterate(args.n, max_degree=args.m, budget=_budget(args))
+    z = resolutions.mandelbrot_iterate(args.n, max_degree=args.m)
     obj = {
         "n": args.n,
         "coefficients": [z.coefficient(d, 0) for d in range(max(z.deg_x, 0) + 1)],
@@ -281,8 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
         if fmt:
             p.add_argument("--format", choices=("csv", "json"), default=fmt)
         p.add_argument("--out", help="write the artifact to this path instead of stdout")
-        p.add_argument("--budget-terms", type=int, help="term-count budget override")
-        p.add_argument("--budget-bits", type=int, help="coefficient-bit budget override")
 
     p = sub.add_parser("betti", help="graded Betti table of a tree ideal")
     common(p, k=True, n=True, ideal=True, fmt="csv")

@@ -1,9 +1,11 @@
 """Resource budgets and package-wide exception types.
 
 Generating-function recursions grow doubly exponentially in coefficient size,
-so every potentially large computation takes an explicit :class:`Budget` and
-fails with :class:`BudgetExceededError` naming the limiting parameter instead
-of exhausting memory.
+so every potentially large computation checks its size against
+:data:`DEFAULT_BUDGET`, read as ``limits.DEFAULT_BUDGET`` when the check runs,
+and fails with :class:`BudgetExceededError` naming the limiting parameter
+instead of exhausting memory.  Rebinding that one name (as the tests do with
+``monkeypatch``) moves every check in the package at once.
 """
 
 from __future__ import annotations

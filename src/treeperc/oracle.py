@@ -32,7 +32,8 @@ from functools import reduce
 from math import gcd
 
 from .bivar import BivarPoly
-from .limits import DEFAULT_BUDGET, BudgetExceededError, check_tree
+from . import limits
+from .limits import BudgetExceededError, check_tree
 from .resolutions import BettiTable
 from .trees import TreeSpec, enumerate_minimal_cuts, enumerate_path_generators
 
@@ -128,8 +129,8 @@ def cut_gf_recursive(k: int, n: int, *, x_truncation: int | None = None) -> Biva
         g = f.power(k, power_trunc).exact_divide_x(k - 1)
         if x_truncation is not None:
             g = g.truncate_x(x_truncation)
-        DEFAULT_BUDGET.check_terms(g.term_count())
-        DEFAULT_BUDGET.check_bits(g.max_coeff_bits())
+        limits.DEFAULT_BUDGET.check_terms(g.term_count())
+        limits.DEFAULT_BUDGET.check_bits(g.max_coeff_bits())
     return g
 
 

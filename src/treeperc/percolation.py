@@ -28,7 +28,8 @@ from fractions import Fraction
 from typing import Callable, Sequence, Union
 
 from .bivar import UniPoly
-from .limits import DEFAULT_BUDGET, Budget, NoRealRootError, PoleError, check_tree
+from . import limits
+from .limits import NoRealRootError, PoleError, check_tree
 from .resolutions import cut_gf, cut_x_degree, gf_to_numerator, path_gf
 
 Number = Union[Fraction, int, float]
@@ -53,8 +54,8 @@ def percolation_exact(k: int, n: int, p: Number) -> Number:
     _validate_prob(p, "p")
     if not isinstance(p, float):
         edges = (k ** (n + 1) - k) // (k - 1)
-        DEFAULT_BUDGET.check_bits(edges * (p.denominator - 1).bit_length(),
-                                  f"percolation_exact({k}, {n}) denominator bits")
+        limits.DEFAULT_BUDGET.check_bits(edges * (p.denominator - 1).bit_length(),
+                                         f"percolation_exact({k}, {n}) denominator bits")
     prob = p * 0 + 1
     for _ in range(n):
         prob = 1 - (1 - p * prob) ** k
@@ -144,19 +145,19 @@ def _bound_kind(family: str, m: int, full_degree: int) -> str:
     return f"{family}_{'upper' if m % 2 else 'lower'}"
 
 
-def path_bound_poly(k: int, n: int, m: int, budget: Budget = DEFAULT_BUDGET) -> UniPoly:
+def path_bound_poly(k: int, n: int, m: int) -> UniPoly:
     """The univariate bound polynomial B_{k,n,m}(t): the path numerator
     truncated at x-degree m, specialized to x = 1."""
     if m < 1:
         raise ValueError("truncation depth m must be >= 1")
-    return gf_to_numerator(path_gf(k, n, x_truncation=m, budget=budget)).eval_x1()
+    return gf_to_numerator(path_gf(k, n, x_truncation=m)).eval_x1()
 
 
-def cut_bound_poly(k: int, n: int, m: int, budget: Budget = DEFAULT_BUDGET) -> UniPoly:
+def cut_bound_poly(k: int, n: int, m: int) -> UniPoly:
     """The univariate bound polynomial C_{k,n,m}(t) on the failure side."""
     if m < 1:
         raise ValueError("truncation depth m must be >= 1")
-    return gf_to_numerator(cut_gf(k, n, x_truncation=m, budget=budget)).eval_x1()
+    return gf_to_numerator(cut_gf(k, n, x_truncation=m)).eval_x1()
 
 
 def _eval_number(poly: UniPoly, value: Number) -> Number:
@@ -165,20 +166,20 @@ def _eval_number(poly: UniPoly, value: Number) -> Number:
     return poly.evaluate(Fraction(value))
 
 
-def path_bound(k: int, n: int, m: int, p: Number, budget: Budget = DEFAULT_BUDGET) -> BoundResult:
+def path_bound(k: int, n: int, m: int, p: Number) -> BoundResult:
     """Truncation bound on the percolation probability: odd m from above,
     even m from below; m at or beyond x-degree k^n reproduces the exact value."""
-    check_tree(k, n, min_n=0)
+    check_tree(k, n)
     _validate_prob(p, "p")
-    value = _eval_number(path_bound_poly(k, n, m, budget), p)
+    value = _eval_number(path_bound_poly(k, n, m), p)
     return BoundResult(value, _bound_kind("path", m, k ** n), k, n, m)
 
 
-def cut_bound(k: int, n: int, m: int, q: Number, budget: Budget = DEFAULT_BUDGET) -> BoundResult:
+def cut_bound(k: int, n: int, m: int, q: Number) -> BoundResult:
     """Truncation bound on the failure probability at edge-failure rate q."""
-    check_tree(k, n, min_n=0)
+    check_tree(k, n)
     _validate_prob(q, "q")
-    value = _eval_number(cut_bound_poly(k, n, m, budget), q)
+    value = _eval_number(cut_bound_poly(k, n, m), q)
     return BoundResult(value, _bound_kind("cut", m, cut_x_degree(k, n)), k, n, m)
 
 

@@ -38,7 +38,8 @@ from math import comb
 from typing import Mapping, Sequence
 
 from .bivar import BivarPoly
-from .limits import DEFAULT_BUDGET, Budget, check_tree
+from . import limits
+from .limits import check_tree
 
 GradedEntries = dict[tuple[int, int], int]
 
@@ -152,13 +153,12 @@ class BettiTable:
 # -- generating functions ----------------------------------------------------
 
 
-def _check_poly_budget(poly: BivarPoly, budget: Budget) -> None:
-    budget.check_terms(poly.term_count())
-    budget.check_bits(poly.max_coeff_bits())
+def _check_poly_budget(poly: BivarPoly) -> None:
+    limits.DEFAULT_BUDGET.check_terms(poly.term_count())
+    limits.DEFAULT_BUDGET.check_bits(poly.max_coeff_bits())
 
 
-def path_gf(k: int, n: int, *, x_truncation: int | None = None,
-            budget: Budget = DEFAULT_BUDGET) -> BivarPoly:
+def path_gf(k: int, n: int, *, x_truncation: int | None = None) -> BivarPoly:
     """G_{k,n}(x, t) for the path ideal, by the recursion (1 + t*G)^k - 1.
 
     With ``x_truncation=m`` every intermediate product is truncated at
@@ -170,7 +170,7 @@ def path_gf(k: int, n: int, *, x_truncation: int | None = None,
     t = BivarPoly.monomial(0, 1)
     for _ in range(n):
         g = (BivarPoly.one() + t * g).power(k, x_truncation) - 1
-        _check_poly_budget(g, budget)
+        _check_poly_budget(g)
     return g
 
 
@@ -180,8 +180,7 @@ def cut_x_degree(k: int, n: int) -> int:
     return (k ** n - 1) // (k - 1)
 
 
-def multibrot(k: int, n: int, *, max_degree: int | None = None,
-              budget: Budget = DEFAULT_BUDGET) -> BivarPoly:
+def multibrot(k: int, n: int, *, max_degree: int | None = None) -> BivarPoly:
     """The Multibrot iterate W_n of W_0 = 0, W_{m+1} = (s + W_m)^k, in s = x.
 
     For n >= 1 its support is every d = k + (k - 1) e, 0 <= e < cut_x_degree(k, n),
@@ -198,7 +197,7 @@ def multibrot(k: int, n: int, *, max_degree: int | None = None,
     count = (k ** steps - 1) // (k - 1)
     if max_degree is not None:
         count = max(0, min(count, (max_degree - k) // (k - 1) + 1))
-    budget.check_terms(count, f"multibrot({k}, {n}) coefficient count")
+    limits.DEFAULT_BUDGET.check_terms(count, f"multibrot({k}, {n}) coefficient count")
     s = BivarPoly.monomial(1, 0)
     w = BivarPoly.zero()
     for _ in range(steps):
@@ -206,8 +205,7 @@ def multibrot(k: int, n: int, *, max_degree: int | None = None,
     return w
 
 
-def mandelbrot_iterate(n: int, *, max_degree: int | None = None,
-                       budget: Budget = DEFAULT_BUDGET) -> BivarPoly:
+def mandelbrot_iterate(n: int, *, max_degree: int | None = None) -> BivarPoly:
     """The Mandelbrot iterate z_n of z_0 = 0, z_{m+1} = z_m^2 + q, in q = x.
 
     z_n = q + W_{n-1} with W from ``multibrot(2, ...)``; ``max_degree=m``
@@ -219,12 +217,11 @@ def mandelbrot_iterate(n: int, *, max_degree: int | None = None,
         raise ValueError("max_degree must be >= 0")
     if n == 0:
         return BivarPoly.zero()
-    w = multibrot(2, n - 1, max_degree=max_degree, budget=budget)
+    w = multibrot(2, n - 1, max_degree=max_degree)
     return w if max_degree == 0 else w + BivarPoly.monomial(1, 0)
 
 
-def cut_gf(k: int, n: int, *, x_truncation: int | None = None,
-           budget: Budget = DEFAULT_BUDGET) -> BivarPoly:
+def cut_gf(k: int, n: int, *, x_truncation: int | None = None) -> BivarPoly:
     """Gc_{k,n}(x, t) for the cut ideal (the Alexander dual of the path ideal).
 
     Computed from the Multibrot iterate W_n of ``multibrot``.  With
@@ -250,12 +247,13 @@ def cut_gf(k: int, n: int, *, x_truncation: int | None = None,
     if cap < 1:
         return BivarPoly.zero()
     label = f"cut_gf({k}, {n})"
-    budget.check_terms(cap * (cap + 1) // 2 + (top - cap) * cap, f"{label} term count")
-    series = [(d, c) for d, _, c in multibrot(k, n, budget=budget).terms()]
-    return BivarPoly._raw(betti_rows(k, series, cap, budget, label))
+    limits.DEFAULT_BUDGET.check_terms(cap * (cap + 1) // 2 + (top - cap) * cap,
+                                      f"{label} term count")
+    series = [(d, c) for d, _, c in multibrot(k, n).terms()]
+    return BivarPoly._raw(betti_rows(k, series, cap, label))
 
 
-def betti_rows(k: int, series: Sequence[tuple[int, int]], cap: int, budget: Budget,
+def betti_rows(k: int, series: Sequence[tuple[int, int]], cap: int,
                label: str) -> GradedEntries:
     """The entries beta_{i,j} = c_d * C(e_d, i - 1), d = j - i + 1, of the
     positive coefficient series [(d, c_d)], with e_d = (d - k) / (k - 1) and
@@ -266,8 +264,9 @@ def betti_rows(k: int, series: Sequence[tuple[int, int]], cap: int, budget: Budg
     entry, max_d c_d * C(e_d, min(e_d // 2, cap - 1)), before any row is built.
     """
     rows = [(d, (d - k) // (k - 1), c) for d, c in series]
-    budget.check_bits(max((c * comb(e, min(e // 2, cap - 1))).bit_length() for _, e, c in rows),
-                      f"{label} coefficient bits")
+    limits.DEFAULT_BUDGET.check_bits(
+        max((c * comb(e, min(e // 2, cap - 1))).bit_length() for _, e, c in rows),
+        f"{label} coefficient bits")
     out: GradedEntries = {}
     for d, e, c in rows:
         for i in range(min(e + 1, cap)):
@@ -333,7 +332,7 @@ def path_betti_recursive(k: int, n: int) -> BettiTable:
             for (i, j), v in conv.items():
                 key = (i, j + s)
                 new[key] = new.get(key, 0) + weight * v
-        DEFAULT_BUDGET.check_terms(len(new), "Betti entry count")
+        limits.DEFAULT_BUDGET.check_terms(len(new), "Betti entry count")
         table = new
     return BettiTable(table)
 

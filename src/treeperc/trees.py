@@ -10,18 +10,16 @@ for c in 0..k-1.
 
 Path generators are the k^n root-to-leaf edge paths.  Minimal cuts are the
 frontiers: antichains of edges meeting every root-to-leaf path exactly once.
-Both enumerations return one mask per generator and check an explicit count
-budget before materializing.
+Both enumerations return one mask per generator and check their count against
+the term cap of ``limits.DEFAULT_BUDGET`` before materializing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .limits import BudgetExceededError, check_tree
-
-# Cap on enumerated collections (paths, cuts).
-ENUMERATION_CAP = 2_000_000
+from . import limits
+from .limits import check_tree
 
 
 @dataclass(frozen=True)
@@ -71,8 +69,7 @@ def enumerate_path_generators(spec: TreeSpec) -> list[int]:
 
     Paths are ordered by leaf index, i.e. lexicographically in child choice.
     """
-    if spec.leaf_count > ENUMERATION_CAP:
-        raise BudgetExceededError("path generator count", ENUMERATION_CAP, spec.leaf_count)
+    limits.DEFAULT_BUDGET.check_terms(spec.leaf_count, "path generator count")
     paths = []
     for leaf in range(spec.leaf_count):
         mask = 0
@@ -89,8 +86,7 @@ def enumerate_minimal_cuts(spec: TreeSpec) -> list[int]:
     either that branch's root edge or a minimal cut of the subtree below it,
     giving the count recursion c(k, n) = (1 + c(k, n-1))^k.
     """
-    if spec.cut_count > ENUMERATION_CAP:
-        raise BudgetExceededError("minimal cut count", ENUMERATION_CAP, spec.cut_count)
+    limits.DEFAULT_BUDGET.check_terms(spec.cut_count, "minimal cut count")
 
     def combine(level: int, first: int) -> list[int]:
         # cuts through the k sibling edges (level, first..first + k - 1)

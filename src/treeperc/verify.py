@@ -462,6 +462,8 @@ def _check_m2_asymptote_discrepancy(scope: str) -> list[CheckResult]:
 
 
 def _check_homology(scope: str) -> list[CheckResult]:
+    if scope != "full":
+        return []
     out = []
     cases = [("cut", 2, 2), ("cut", 3, 2), ("path", 2, 2)]
     for family, k, n in cases:
@@ -528,9 +530,6 @@ _CHECKS = [
     _check_m2_asymptote_discrepancy,
     _check_closed_forms,
     _check_tensor_example,
-]
-
-_FULL_ONLY_CHECKS = [
     _check_homology,
 ]
 
@@ -540,9 +539,8 @@ def run_verify(scope: str = "quick") -> VerifyReport:
     timings or environment data, so outputs are byte-stable)."""
     if scope not in SCOPES:
         raise ValueError(f"scope must be one of {SCOPES}")
-    fns = list(_CHECKS) + (list(_FULL_ONLY_CHECKS) if scope == "full" else [])
     results: list[CheckResult] = []
-    for fn in fns:
+    for fn in _CHECKS:
         name = fn.__name__.removeprefix("_check_")
         try:
             results.extend(fn(scope))

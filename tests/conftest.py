@@ -7,8 +7,11 @@ after the run so they are visible regardless of output capture.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 
 import pytest
+
+from treeperc import limits
 
 # criterion number -> (status, detail); populated by tests/test_acceptance.py
 ACCEPTANCE_LINES: dict[int, tuple[str, str]] = {}
@@ -29,6 +32,20 @@ def acceptance():
 def rng() -> random.Random:
     """Deterministic RNG; reseeded per test so ordering never matters."""
     return random.Random(20260819)
+
+
+@pytest.fixture
+def budget(monkeypatch):
+    """budget(**caps): a context in which the one binding every size check
+    reads, ``limits.DEFAULT_BUDGET``, is ``Budget(**caps)``."""
+
+    @contextmanager
+    def shrunk(**caps):
+        with monkeypatch.context() as patched:
+            patched.setattr(limits, "DEFAULT_BUDGET", limits.Budget(**caps))
+            yield
+
+    return shrunk
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

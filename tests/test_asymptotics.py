@@ -5,7 +5,6 @@ from math import comb
 
 import pytest
 
-from treeperc import asymptotics
 from treeperc.asymptotics import (
     ASYMPTOTIC_CSV_HEADER,
     MandelbrotPolynomial,
@@ -18,7 +17,7 @@ from treeperc.asymptotics import (
     render_asymptotic_csv,
     stabilization_prefix,
 )
-from treeperc.limits import Budget, BudgetExceededError
+from treeperc.limits import BudgetExceededError
 from treeperc.resolutions import betti_table, cut_gf
 
 CATALAN_PREFIX = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796)
@@ -81,10 +80,9 @@ class TestMandelbrotPoly:
     def test_untruncated_coefficient_beyond_degree_is_zero(self):
         assert mandelbrot_poly(3).coefficient(100) == 0
 
-    def test_budget(self, monkeypatch):
+    def test_budget(self, budget):
         # z_9 has 257 coefficients, past a 100-term budget.
-        monkeypatch.setattr(asymptotics, "DEFAULT_BUDGET", Budget(max_terms=100))
-        with pytest.raises(BudgetExceededError):
+        with budget(max_terms=100), pytest.raises(BudgetExceededError):
             mandelbrot_poly(9)
 
     def test_dataclass_fields(self):

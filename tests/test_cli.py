@@ -22,7 +22,6 @@ from treeperc.cli import (
     main,
     parse_rational,
 )
-from treeperc.limits import Budget
 from treeperc.percolation import CURVE_CSV_HEADER
 from treeperc.resolutions import BettiTable, betti_table, cut_gf
 
@@ -77,10 +76,14 @@ class TestBetti:
         assert target.read_text().splitlines()[0] == "i,j,beta"
         assert "total" in out  # stdout keeps the layout for inspection
 
-    def test_budget_exit_code(self, capsys):
+    def test_budget_exit_code(self, capsys, budget):
+        with budget(max_terms=10):
+            code, _ = run(capsys, "betti", "--ideal", "cut", "--k", "2", "--n", "6")
+        assert code == EXIT_BUDGET
+        # The budget is not a command-line option.
         code, _ = run(capsys, "betti", "--ideal", "cut", "--k", "2", "--n", "6",
                       "--budget-terms", "10")
-        assert code == EXIT_BUDGET
+        assert code == EXIT_USAGE
 
     def test_missing_ideal_is_usage_error(self, capsys):
         assert main(["betti", "--k", "2", "--n", "2"]) == EXIT_USAGE
@@ -132,7 +135,8 @@ class TestPercolation:
         with unlimited_int_str():
             assert Fraction(json.loads(out)["exact"]) == expected
 
-    def test_oversized_exact_value_refused_before_the_recursion(self, capsys, monkeypatch):
+    def test_oversized_exact_value_refused_before_the_recursion(self, capsys, monkeypatch,
+                                                                  budget):
         # T(2, 3) has 14 edges: p = 1/5 predicts 14 * 3 = 42 denominator bits,
         # p = 1/3 predicts 14 * 2 = 28.  Every product with p is recorded.
         products = []
@@ -142,14 +146,14 @@ class TestPercolation:
                 products.append(other)
                 return Fraction.__mul__(self, other)
 
-        monkeypatch.setattr(percolation, "DEFAULT_BUDGET", Budget(max_coeff_bits=28))
         monkeypatch.setattr(cli, "parse_rational", Watched)
-        code = main(["percolation", "--k", "2", "--n", "3", "--p", "1/5"])
-        captured = capsys.readouterr()
-        assert (code, captured.out, products) == (EXIT_BUDGET, "", [])
-        assert ("percolation_exact(2, 3) denominator bits budget exceeded: "
-                "needed 42, limit 28") in captured.err
-        code, out = run(capsys, "percolation", "--k", "2", "--n", "3", "--p", "1/3")
+        with budget(max_coeff_bits=28):
+            code = main(["percolation", "--k", "2", "--n", "3", "--p", "1/5"])
+            captured = capsys.readouterr()
+            assert (code, captured.out, products) == (EXIT_BUDGET, "", [])
+            assert ("percolation_exact(2, 3) denominator bits budget exceeded: "
+                    "needed 42, limit 28") in captured.err
+            code, out = run(capsys, "percolation", "--k", "2", "--n", "3", "--p", "1/3")
         assert code == EXIT_OK and products
         assert json.loads(out)["exact"] == str(percolation.percolation_exact(2, 3, Fraction(1, 3)))
 
@@ -271,18 +275,18 @@ class TestAsymptotic:
         assert code == EXIT_OK
         assert {"i": 1, "j": 2, "beta": "1"} in rows
 
-    def test_large_m_refused_before_any_entry(self, capsys, monkeypatch):
+    def test_large_m_refused_before_any_entry(self, capsys, monkeypatch, budget):
         # --m 5 asks for 15 entries; a 14-term budget refuses it up front.
         calls = []
         entry = asymptotics.catalan
-        monkeypatch.setattr(asymptotics, "DEFAULT_BUDGET", Budget(max_terms=14))
         monkeypatch.setattr(asymptotics, "catalan", lambda *a: calls.append(a) or entry(*a))
-        code = main(["asymptotic", "--m", "5"])
-        captured = capsys.readouterr()
-        assert (code, captured.out, calls) == (EXIT_BUDGET, "", [])
-        assert "asymptotic_table(5) entry count budget exceeded: needed 15, limit 14" \
-            in captured.err
-        assert main(["asymptotic", "--m", "4"]) == EXIT_OK
+        with budget(max_terms=14):
+            code = main(["asymptotic", "--m", "5"])
+            captured = capsys.readouterr()
+            assert (code, captured.out, calls) == (EXIT_BUDGET, "", [])
+            assert "asymptotic_table(5) entry count budget exceeded: needed 15, limit 14" \
+                in captured.err
+            assert main(["asymptotic", "--m", "4"]) == EXIT_OK
 
 
 class TestMandelbrot:
@@ -306,12 +310,13 @@ class TestMandelbrot:
             code, out = run(capsys, "mandelbrot", "--n", n, "--m", "-1")
             assert (code, out) == (EXIT_USAGE, "")
 
-    def test_budget(self, capsys, monkeypatch):
+    def test_budget(self, capsys, monkeypatch, budget):
         # The count of W_39 is refused before a single power is taken.
         calls = []
         power = BivarPoly.power
         monkeypatch.setattr(BivarPoly, "power", lambda *a: calls.append(a) or power(*a))
-        code = main(["mandelbrot", "--n", "40", "--budget-terms", "100"])
+        with budget(max_terms=100):
+            code = main(["mandelbrot", "--n", "40"])
         err = capsys.readouterr().err
         assert code == EXIT_BUDGET and calls == []
         assert f"multibrot(2, 39) coefficient count budget exceeded: needed {2 ** 39 - 1}, " \

@@ -1,4 +1,6 @@
-"""The one tree-shape rule, ``limits.check_tree``, as every (k, n) entry point reports it."""
+"""The one tree-shape rule, ``limits.check_tree``, as every (k, n) entry point
+reports it, and the one size budget, ``limits.DEFAULT_BUDGET``, that every size
+check reads."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -6,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from treeperc import asymptotics, oracle, percolation, resolutions, trees
+from treeperc.limits import BudgetExceededError
 
 HALF = Fraction(1, 2)
 
@@ -42,10 +45,10 @@ CASES = (
      for name, call, takes_k, _ in ENTRY_POINTS if takes_k]
     + [pytest.param(call, 2, min_n - 1, f"depth n must be >= {min_n}", id=f"{name}-n{min_n - 1}")
        for name, call, _, min_n in ENTRY_POINTS if min_n is not None]
-    # Below zero these two report their own minimum, not the >= 0 of the other bounds.
+    # Below zero these report their own minimum, not the >= 0 of the other bounds.
     + [pytest.param(call, 2, -1, "depth n must be >= 1", id=f"{name}-n-1")
        for name, call, _, _ in ENTRY_POINTS
-       if name in ("closed_form_path_bound", "cut_bound_m2_recursive")]
+       if name in ("path_bound", "cut_bound", "closed_form_path_bound", "cut_bound_m2_recursive")]
 )
 
 
@@ -55,3 +58,27 @@ def test_entry_point_refuses_tree_shape(call, k, n, message):
         call(k, n)
     assert str(exc.value) == message
 
+
+# Every size check, each on an input just past a one-term, one-bit budget.
+SIZE_CHECKS = [
+    ("path_gf", lambda: resolutions.path_gf(2, 1)),
+    ("cut_gf", lambda: resolutions.cut_gf(2, 2)),
+    ("multibrot", lambda: resolutions.multibrot(2, 2)),
+    ("mandelbrot_iterate", lambda: resolutions.mandelbrot_iterate(3)),
+    ("path_bound", lambda: percolation.path_bound(2, 2, 1, HALF)),
+    ("cut_bound", lambda: percolation.cut_bound(2, 2, 1, HALF)),
+    ("percolation_exact", lambda: percolation.percolation_exact(2, 2, HALF)),
+    ("asymptotic_table", lambda: asymptotics.asymptotic_table(2)),
+    ("mandelbrot_poly", lambda: asymptotics.mandelbrot_poly(3)),
+    ("path_betti_recursive", lambda: resolutions.path_betti_recursive(2, 2)),
+    ("cut_gf_recursive", lambda: oracle.cut_gf_recursive(2, 2)),
+    ("enumerate_path_generators", lambda: trees.enumerate_path_generators(trees.TreeSpec(2, 1))),
+    ("enumerate_minimal_cuts", lambda: trees.enumerate_minimal_cuts(trees.TreeSpec(2, 2))),
+]
+
+
+@pytest.mark.parametrize("call", [pytest.param(call, id=name) for name, call in SIZE_CHECKS])
+def test_one_binding_moves_every_size_check(call, budget):
+    call()  # fits the default budget
+    with budget(max_terms=1, max_coeff_bits=1), pytest.raises(BudgetExceededError):
+        call()

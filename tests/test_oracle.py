@@ -231,6 +231,16 @@ class TestHomology:
         ms = path_monomials(TreeSpec(2, 2))
         assert multigraded_betti_homology(ms) == betti_table(path_gf(2, 2))
 
+    def test_cut_23_matches_generating_function(self):
+        # A depth-3 table with no golden data; slow, so not in the verify battery.
+        ms = cut_monomials(TreeSpec(2, 3))
+        assert multigraded_betti_homology(ms) == betti_table(cut_gf(2, 3))
+
+    def test_path_32_matches_generating_function(self):
+        # A k = 3 path table with no golden data; slow, so not in the verify battery.
+        ms = path_monomials(TreeSpec(3, 2))
+        assert multigraded_betti_homology(ms) == betti_table(path_gf(3, 2))
+
     def test_double_bridge_first_syzygies(self):
         # beta_1 of the quotient counts generators for any monomial ideal.
         table = multigraded_betti_homology(double_bridge_path_monomials())

@@ -7,7 +7,7 @@ from math import comb
 import pytest
 
 from treeperc.bivar import BivarPoly, UniPoly
-from treeperc.limits import Budget, BudgetExceededError
+from treeperc.limits import BudgetExceededError
 from treeperc.resolutions import (
     BettiTable,
     betti_table,
@@ -50,9 +50,9 @@ class TestPathGf:
         with pytest.raises(ValueError):
             path_gf(2, 0)
 
-    def test_budget_enforced(self):
-        with pytest.raises(BudgetExceededError):
-            path_gf(2, 4, budget=Budget(max_terms=10))
+    def test_budget_enforced(self, budget):
+        with budget(max_terms=10), pytest.raises(BudgetExceededError):
+            path_gf(2, 4)
 
 
 class TestCutGf:
@@ -99,18 +99,20 @@ class TestCutGf:
             assert cut_gf(2, 3, x_truncation=m) == cut_gf(2, 3).truncate_x(m)
             assert path_gf(2, 3, x_truncation=m) == path_gf(2, 3).truncate_x(m)
 
-    def test_budget_prediction_is_exact(self):
+    def test_budget_prediction_is_exact(self, budget):
         # The term count and coefficient bits are predicted before the
         # output is built; a budget at the true size passes, one below fails.
         for k, n, m in ((2, 5, None), (3, 3, None), (2, 6, 3), (3, 4, 1)):
             g = cut_gf(k, n, x_truncation=m)
             terms, bits = g.term_count(), g.max_coeff_bits()
-            assert cut_gf(k, n, x_truncation=m,
-                          budget=Budget(max_terms=terms, max_coeff_bits=bits)) == g
-            with pytest.raises(BudgetExceededError, match=f"needed {terms}, limit {terms - 1}"):
-                cut_gf(k, n, x_truncation=m, budget=Budget(max_terms=terms - 1))
-            with pytest.raises(BudgetExceededError, match=f"needed {bits}, limit {bits - 1}"):
-                cut_gf(k, n, x_truncation=m, budget=Budget(max_coeff_bits=bits - 1))
+            with budget(max_terms=terms, max_coeff_bits=bits):
+                assert cut_gf(k, n, x_truncation=m) == g
+            with budget(max_terms=terms - 1), \
+                    pytest.raises(BudgetExceededError, match=f"needed {terms}, limit {terms - 1}"):
+                cut_gf(k, n, x_truncation=m)
+            with budget(max_coeff_bits=bits - 1), \
+                    pytest.raises(BudgetExceededError, match=f"needed {bits}, limit {bits - 1}"):
+                cut_gf(k, n, x_truncation=m)
 
     def test_deep_request_refused_before_any_work(self):
         # Depth 40 would have (2^40 - 1) 2^40 / 2 terms; the refusal names
@@ -121,18 +123,20 @@ class TestCutGf:
 
 
 class TestMultibrot:
-    def test_budget_prediction_is_exact(self):
+    def test_budget_prediction_is_exact(self, budget):
         # The coefficient count is checked before the first product; a
         # budget at the true count passes, one below fails.
         for k, n, m in ((2, 6, None), (3, 4, None), (2, 6, 9), (3, 4, 10), (2, 3, 1), (2, 12, 5)):
             w = multibrot(k, n, max_degree=m)
             count = w.term_count()
-            assert multibrot(k, n, max_degree=m, budget=Budget(max_terms=count)) == w
+            with budget(max_terms=count):
+                assert multibrot(k, n, max_degree=m) == w
             if count:
-                with pytest.raises(BudgetExceededError,
-                                   match=f"multibrot\\({k}, {n}\\) coefficient count budget "
-                                         f"exceeded: needed {count}, limit {count - 1}"):
-                    multibrot(k, n, max_degree=m, budget=Budget(max_terms=count - 1))
+                with budget(max_terms=count - 1), \
+                        pytest.raises(BudgetExceededError,
+                                      match=f"multibrot\\({k}, {n}\\) coefficient count budget "
+                                            f"exceeded: needed {count}, limit {count - 1}"):
+                    multibrot(k, n, max_degree=m)
 
     def test_truncation_and_validation(self, monkeypatch):
         assert multibrot(2, 0) == BivarPoly.zero()

@@ -5,7 +5,6 @@ from itertools import combinations
 
 import pytest
 
-from treeperc import trees
 from treeperc.limits import BudgetExceededError
 from treeperc.trees import (
     TreeSpec,
@@ -87,9 +86,8 @@ class TestPathGenerators:
                 assert deep // spec.k == shallow
             assert path.bit_count() == spec.n
 
-    def test_cap_enforced(self, monkeypatch):
-        monkeypatch.setattr(trees, "ENUMERATION_CAP", 7)
-        with pytest.raises(BudgetExceededError):
+    def test_cap_enforced(self, budget):
+        with budget(max_terms=7), pytest.raises(BudgetExceededError):
             enumerate_path_generators(TreeSpec(2, 3))
 
 
@@ -118,9 +116,8 @@ class TestMinimalCuts:
             for label in labels(cut):
                 assert percolates(spec, all_edges(spec) & ~cut | 1 << (label - 1))
 
-    def test_cap_enforced(self, monkeypatch):
-        monkeypatch.setattr(trees, "ENUMERATION_CAP", 100)
-        with pytest.raises(BudgetExceededError):
+    def test_cap_enforced(self, budget):
+        with budget(max_terms=100), pytest.raises(BudgetExceededError):
             enumerate_minimal_cuts(TreeSpec(2, 4))
 
 

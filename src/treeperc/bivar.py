@@ -9,6 +9,12 @@ Representation: a dict mapping ``(x_degree, t_degree) -> coefficient`` with no
 zero coefficients stored.  Serialization orders terms canonically (x-degree
 major, t-degree minor) so equal polynomials serialize identically.
 
+``BivarPoly`` and ``UniPoly`` (the x = 1 specialization in t) share one sparse
+core, ``_SparsePoly``: the coefficient dict, equality (an int compares with
+the constant term), hashing, addition, negation, subtraction and printing.
+Each class supplies only its constant-term key and the variable text of one
+monomial.
+
 Products switch between schoolbook convolution and Kronecker substitution
 (packing each polynomial into one huge integer so Python's subquadratic int
 multiplication does the convolution).  Each operand packs into one signed
@@ -22,7 +28,7 @@ one (the negative slot borrowed that 1 from it).
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Mapping, Self, Union
 
 Term = tuple[int, int, int]
 
@@ -94,10 +100,94 @@ def _mul_kronecker(a: dict[tuple[int, int], int], b: dict[tuple[int, int], int])
     return out
 
 
-class BivarPoly:
-    """Immutable exact polynomial in Z[x, t]."""
+class _SparsePoly:
+    """The sparse core shared by BivarPoly and UniPoly: a dict of nonzero
+    coefficients keyed by exponent, with equality, hashing, addition,
+    negation, subtraction and printing.  A subclass names its constant-term
+    key and the variable text of one monomial."""
 
     __slots__ = ("_terms",)
+    _CONSTANT_KEY: object
+
+    @classmethod
+    def _raw(cls, terms: dict) -> Self:
+        # internal constructor: terms already canonical (no zeros, valid keys)
+        p = object.__new__(cls)
+        p._terms = terms
+        return p
+
+    def _constant_terms(self, c: int) -> dict:
+        return {self._CONSTANT_KEY: c} if c else {}
+
+    def _variables(self, key) -> str:
+        raise NotImplementedError
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, type(self)):
+            return self._terms == other._terms
+        if isinstance(other, int):
+            return self._terms == self._constant_terms(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._terms.items()))
+
+    def __add__(self, other: Self | int) -> Self:
+        if isinstance(other, int):
+            other = self._raw(self._constant_terms(other))
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        out = dict(self._terms)
+        for key, c in other._terms.items():
+            v = out.get(key, 0) + c
+            if v:
+                out[key] = v
+            elif key in out:
+                del out[key]
+        return self._raw(out)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> Self:
+        return self._raw({key: -c for key, c in self._terms.items()})
+
+    def __sub__(self, other: Self | int) -> Self:
+        if isinstance(other, int):
+            other = self._raw(self._constant_terms(other))
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other: int) -> Self:
+        if not isinstance(other, int):
+            return NotImplemented
+        return self._raw(self._constant_terms(other)) + (-self)
+
+    def __str__(self) -> str:
+        if not self._terms:
+            return "0"
+        parts = []
+        for key, c in sorted(self._terms.items()):
+            variables = self._variables(key)
+            body = [str(abs(c))] if abs(c) != 1 or not variables else []
+            if variables:
+                body.append(variables)
+            parts.append(("- " if c < 0 else "+ ") + "*".join(body))
+        out = " ".join(parts)
+        return out[2:] if out.startswith("+ ") else "-" + out[2:]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+
+class BivarPoly(_SparsePoly):
+    """Immutable exact polynomial in Z[x, t]."""
+
+    __slots__ = ()
+    _CONSTANT_KEY = (0, 0)
 
     def __init__(self, terms: Mapping[tuple[int, int], int] | None = None) -> None:
         clean: dict[tuple[int, int], int] = {}
@@ -109,13 +199,6 @@ class BivarPoly:
             if c:
                 clean[(i, j)] = c
         self._terms = clean
-
-    @classmethod
-    def _raw(cls, terms: dict[tuple[int, int], int]) -> "BivarPoly":
-        # internal constructor: terms already canonical (no zeros, valid keys)
-        p = object.__new__(cls)
-        p._terms = terms
-        return p
 
     # -- constructors ------------------------------------------------------
 
@@ -160,49 +243,7 @@ class BivarPoly:
     def __iter__(self) -> Iterator[Term]:
         return iter(self.terms())
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, BivarPoly):
-            return self._terms == other._terms
-        if isinstance(other, int):
-            return self._terms == ({(0, 0): other} if other else {})
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
     # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other: Union["BivarPoly", int]) -> "BivarPoly":
-        if isinstance(other, int):
-            other = BivarPoly.constant(other)
-        if not isinstance(other, BivarPoly):
-            return NotImplemented
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            v = out.get(key, 0) + c
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
-        return BivarPoly._raw(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "BivarPoly":
-        return BivarPoly._raw({key: -c for key, c in self._terms.items()})
-
-    def __sub__(self, other: Union["BivarPoly", int]) -> "BivarPoly":
-        if isinstance(other, int):
-            other = BivarPoly.constant(other)
-        if not isinstance(other, BivarPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other: int) -> "BivarPoly":
-        return BivarPoly.constant(other) + (-self)
 
     def __mul__(self, other: Union["BivarPoly", int]) -> "BivarPoly":
         if isinstance(other, int):
@@ -298,31 +339,21 @@ class BivarPoly:
         """JSON form: [{"x": i, "t": j, "c": "<decimal>"}] in canonical order."""
         return [{"x": i, "t": j, "c": str(c)} for i, j, c in self.terms()]
 
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for i, j, c in self.terms():
-            body = []
-            if abs(c) != 1 or (i == 0 and j == 0):
-                body.append(str(abs(c)))
-            if i:
-                body.append("x" if i == 1 else f"x^{i}")
-            if j:
-                body.append("t" if j == 1 else f"t^{j}")
-            txt = "*".join(body)
-            parts.append(("- " if c < 0 else "+ ") + txt)
-        out = " ".join(parts)
-        return out[2:] if out.startswith("+ ") else "-" + out[2:]
-
-    def __repr__(self) -> str:
-        return f"BivarPoly({self})"
+    def _variables(self, key: tuple[int, int]) -> str:
+        i, j = key
+        body = []
+        if i:
+            body.append("x" if i == 1 else f"x^{i}")
+        if j:
+            body.append("t" if j == 1 else f"t^{j}")
+        return "*".join(body)
 
 
-class UniPoly:
+class UniPoly(_SparsePoly):
     """Immutable exact univariate polynomial in t (the x = 1 specialization)."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
+    _CONSTANT_KEY = 0
 
     def __init__(self, coeffs: Mapping[int, int] | None = None) -> None:
         clean: dict[int, int] = {}
@@ -331,60 +362,25 @@ class UniPoly:
                 raise ValueError("negative exponents are not representable")
             if c:
                 clean[d] = c
-        self._coeffs = clean
-
-    @classmethod
-    def _raw(cls, coeffs: dict[int, int]) -> "UniPoly":
-        p = object.__new__(cls)
-        p._coeffs = coeffs
-        return p
+        self._terms = clean
 
     @property
     def degree(self) -> int:
-        return max(self._coeffs, default=-1)
+        return max(self._terms, default=-1)
 
     def coefficient(self, t_degree: int) -> int:
-        return self._coeffs.get(t_degree, 0)
+        return self._terms.get(t_degree, 0)
 
     def terms(self) -> tuple[tuple[int, int], ...]:
         """(t_degree, coefficient) pairs in increasing degree."""
-        return tuple(sorted(self._coeffs.items()))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, UniPoly):
-            return self._coeffs == other._coeffs
-        if isinstance(other, int):
-            return self._coeffs == ({0: other} if other else {})
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        out = dict(self._coeffs)
-        for d, c in other._coeffs.items():
-            v = out.get(d, 0) + c
-            if v:
-                out[d] = v
-            elif d in out:
-                del out[d]
-        return UniPoly._raw(out)
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly._raw({d: -c for d, c in self._coeffs.items()})
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
-    def __rsub__(self, other: int) -> "UniPoly":
-        return UniPoly({0: other}) + (-self)
+        return tuple(sorted(self._terms.items()))
 
     def evaluate(self, t_value):
         """Horner evaluation; exact for Fraction/int inputs, float for float."""
         zero = t_value * 0
         acc = zero
         for d in range(self.degree, -1, -1):
-            acc = acc * t_value + self._coeffs.get(d, 0)
+            acc = acc * t_value + self._terms.get(d, 0)
         return acc + zero
 
     def substitute_one_minus_t(self) -> "UniPoly":
@@ -395,25 +391,13 @@ class UniPoly:
             for e, c in acc.items():  # acc * (1 - t)
                 nxt[e] = nxt.get(e, 0) + c
                 nxt[e + 1] = nxt.get(e + 1, 0) - c
-            c0 = self._coeffs.get(d, 0)
+            c0 = self._terms.get(d, 0)
             if c0:
                 nxt[0] = nxt.get(0, 0) + c0
             acc = {e: c for e, c in nxt.items() if c}
         return UniPoly._raw(acc)
 
-    def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for d, c in self.terms():
-            body = []
-            if abs(c) != 1 or d == 0:
-                body.append(str(abs(c)))
-            if d:
-                body.append("t" if d == 1 else f"t^{d}")
-            parts.append(("- " if c < 0 else "+ ") + "*".join(body))
-        out = " ".join(parts)
-        return out[2:] if out.startswith("+ ") else "-" + out[2:]
-
-    def __repr__(self) -> str:
-        return f"UniPoly({self})"
+    def _variables(self, key: int) -> str:
+        if not key:
+            return ""
+        return "t" if key == 1 else f"t^{key}"

@@ -288,6 +288,11 @@ class TestSerialization:
     def test_str_forms(self):
         assert str(BivarPoly.zero()) == "0"
         assert "x" in str(TX) and "t" in str(TX)
+        assert repr(poly({(0, 0): 1, (1, 1): -2, (2, 3): 1})) == "BivarPoly(1 - 2*x*t + x^2*t^3)"
+        assert str(poly({(1, 0): -1, (0, 2): 3})) == "3*t^2 - x"
+        assert repr(UniPoly({0: 3, 1: -1, 2: 1})) == "UniPoly(3 - t + t^2)"
+        assert str(UniPoly({1: -1})) == "-t"
+        assert str(UniPoly()) == "0"
 
 
 class TestUniPoly:
@@ -305,3 +310,17 @@ class TestUniPoly:
         for _ in range(10):
             u = UniPoly({rng.randrange(6): rng.randint(-9, 9) for _ in range(4)})
             assert u.substitute_one_minus_t().substitute_one_minus_t() == u
+
+    def test_int_operands(self):
+        u = UniPoly({1: 2})
+        assert u + 1 == UniPoly({0: 1, 1: 2}) == 1 + u
+        assert u - 2 == UniPoly({0: -2, 1: 2})
+        assert 1 - u == UniPoly({0: 1, 1: -2})
+        assert UniPoly({0: 5}) == 5 and UniPoly() == 0 and u != 0
+
+    def test_never_equals_a_bivariate_polynomial(self):
+        pairs = [(UniPoly(), BivarPoly.zero()), (UniPoly({0: 1}), BivarPoly.one()),
+                 (UniPoly({2: 3}), poly({(0, 2): 3}))]
+        for u, b in pairs:
+            assert u != b and b != u
+            assert not u == b and not b == u

@@ -363,3 +363,10 @@ class TestUsageErrors:
     def test_invalid_tree_parameters(self, capsys):
         assert main(["betti", "--ideal", "path", "--k", "1", "--n", "2"]) == EXIT_USAGE
         capsys.readouterr()
+
+    @pytest.mark.parametrize("sub", [None, "betti", "hilbert", "percolation", "bound", "curve",
+                                     "critical", "asymptotic", "mandelbrot", "verify"])
+    def test_help_exits_zero(self, capsys, sub):
+        # perfbench times `python -m treeperc.cli --help` as the start-up probe.
+        assert main(["--help"] if sub is None else [sub, "--help"]) == EXIT_OK
+        assert "usage: treeperc" in capsys.readouterr().out

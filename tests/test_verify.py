@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import treeperc.percolation as percolation
 import treeperc.resolutions as resolutions
 from treeperc.bivar import BivarPoly
 from treeperc.verify import SCOPES, CheckResult, VerifyReport, run_verify
@@ -34,7 +35,8 @@ class TestReportShape:
         full = {c.name for c in full_report.checks}
         assert full_report.ok
         assert quick <= full
-        assert "homology_route_cut_2_2" in full - quick or len(full) > len(quick)
+        assert {"homology_oracle_cut_k2_n2", "homology_oracle_cut_k3_n2",
+                "homology_oracle_path_k2_n2"} <= full - quick
 
     def test_invalid_scope_rejected(self):
         with pytest.raises(ValueError):
@@ -86,6 +88,13 @@ class TestFaultInjection:
         report = run_verify("quick")
         assert not report.ok
         assert any("injected fault" in c.detail for c in report.checks if c.status == "fail")
+
+    def test_first_failing_case_is_reported(self, monkeypatch):
+        monkeypatch.setattr(percolation, "cut_bound_m2_recursive", lambda k, n, q: -1)
+        checks = {c.name: c for c in run_verify("quick").checks}
+        check = checks["first_cut_bound_is_x_degree_1_truncation"]
+        assert check.status == "fail"
+        assert check.detail.startswith("k=2 n=1 q=1/5")
 
     def test_check_result_is_plain_data(self):
         c = CheckResult(name="demo", status="pass", lhs="1", rhs="1", detail="")

@@ -28,7 +28,7 @@ one (the negative slot borrowed that 1 from it).
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Self, Union
+from typing import Iterator, Mapping, Union
 
 Term = tuple[int, int, int]
 
@@ -110,14 +110,15 @@ class _SparsePoly:
     _CONSTANT_KEY: object
 
     @classmethod
-    def _raw(cls, terms: dict) -> Self:
+    def _raw(cls, terms: dict) -> "_SparsePoly":
         # internal constructor: terms already canonical (no zeros, valid keys)
         p = object.__new__(cls)
         p._terms = terms
         return p
 
-    def _constant_terms(self, c: int) -> dict:
-        return {self._CONSTANT_KEY: c} if c else {}
+    @classmethod
+    def _constant(cls, c: int) -> "_SparsePoly":
+        return cls._raw({cls._CONSTANT_KEY: c} if c else {})
 
     def _variables(self, key) -> str:
         raise NotImplementedError
@@ -129,15 +130,15 @@ class _SparsePoly:
         if isinstance(other, type(self)):
             return self._terms == other._terms
         if isinstance(other, int):
-            return self._terms == self._constant_terms(other)
+            return self._terms == self._constant(other)._terms
         return NotImplemented
 
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
 
-    def __add__(self, other: Self | int) -> Self:
+    def __add__(self, other: Union["_SparsePoly", int]) -> "_SparsePoly":
         if isinstance(other, int):
-            other = self._raw(self._constant_terms(other))
+            other = self._constant(other)
         if not isinstance(other, type(self)):
             return NotImplemented
         out = dict(self._terms)
@@ -151,20 +152,20 @@ class _SparsePoly:
 
     __radd__ = __add__
 
-    def __neg__(self) -> Self:
+    def __neg__(self) -> "_SparsePoly":
         return self._raw({key: -c for key, c in self._terms.items()})
 
-    def __sub__(self, other: Self | int) -> Self:
+    def __sub__(self, other: Union["_SparsePoly", int]) -> "_SparsePoly":
         if isinstance(other, int):
-            other = self._raw(self._constant_terms(other))
+            other = self._constant(other)
         if not isinstance(other, type(self)):
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other: int) -> Self:
+    def __rsub__(self, other: int) -> "_SparsePoly":
         if not isinstance(other, int):
             return NotImplemented
-        return self._raw(self._constant_terms(other)) + (-self)
+        return self._constant(other) + (-self)
 
     def __str__(self) -> str:
         if not self._terms:
@@ -212,7 +213,7 @@ class BivarPoly(_SparsePoly):
 
     @classmethod
     def constant(cls, c: int) -> "BivarPoly":
-        return cls._raw({(0, 0): c} if c else {})
+        return cls._constant(c)
 
     @classmethod
     def monomial(cls, x_degree: int, t_degree: int, coefficient: int = 1) -> "BivarPoly":

@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import random
-from collections.abc import Iterable
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -110,10 +109,10 @@ def _true(name: str, cond: bool, statement: str, detail: str = "") -> CheckResul
     return CheckResult(name, "pass" if cond else "fail", statement, "True", detail)
 
 
-def _first_failure(failures: Iterable[str]) -> str:
+def _first_failure(failures: Iterator[str]) -> str:
     """The witness of the first failing case, or "" when every case passes.
     ``failures`` is lazy, so no case after the first failure is evaluated."""
-    return next(iter(failures), "")
+    return next(failures, "")
 
 
 # -- frozen golden data ---------------------------------------------------------
@@ -226,11 +225,12 @@ def _check_cut_routes(scope: str) -> list[CheckResult]:
 
 
 def _check_mandelbrot_routes(scope: str) -> list[CheckResult]:
+    cases = ((n, m, resolutions.mandelbrot_iterate(n, max_degree=m),
+              asymptotics.mandelbrot_poly(n, max_degree=m).coefficients)
+             for n in range(9) for m in (None, 0, 1, 3))
     witness = _first_failure(
-        f"n={n} max_degree={m}" for n in range(9) for m in (None, 0, 1, 3)
-        if resolutions.mandelbrot_iterate(n, max_degree=m)
-        != BivarPoly({(d, 0): c for d, c in
-                      enumerate(asymptotics.mandelbrot_poly(n, max_degree=m).coefficients)}))
+        f"n={n} max_degree={m}" for n, m, z, schoolbook in cases
+        if z != BivarPoly({(d, 0): c for d, c in enumerate(schoolbook)}))
     return [_true("mandelbrot_matches_multibrot", not witness,
                   "q + multibrot(2, n - 1) == schoolbook z_n, n <= 8, m = None, 0, 1, 3", witness)]
 
@@ -334,12 +334,12 @@ def _check_sandwich(scope: str) -> list[CheckResult]:
         for m in ms:
             ppoly = percolation.path_bound_poly(2, n, m)
             cpoly = percolation.cut_bound_poly(2, n, m)
-            on_side = operator.ge if m % 2 else operator.le
-            witness = _first_failure(
-                f"violated at {p}" for p in grid
-                if not (on_side(ppoly.evaluate(p), exact_p[p])
-                        and on_side(cpoly.evaluate(p), exact_q[p])))
             side = "upper" if m % 2 else "lower"
+            bounds = ((p, ppoly.evaluate(p), cpoly.evaluate(p)) for p in grid)
+            witness = _first_failure(
+                f"violated at {p}" for p, bp, bq in bounds
+                if not (bp >= exact_p[p] and bq >= exact_q[p] if side == "upper"
+                        else bp <= exact_p[p] and bq <= exact_q[p]))
             out.append(_true(f"sandwich_n{n}_m{m}", not witness,
                              f"odd/even truncations bound from the correct side ({side})",
                              witness))

@@ -24,6 +24,16 @@ width comes from the product of absolute-coefficient sums, which bounds every
 convolution entry and leaves each slot's sign bit free; the product is read
 back one signed slot at a time, adding 1 to each slot that follows a negative
 one (the negative slot borrowed that 1 from it).
+
+The packing follows the support's skewed band, not its bounding rectangle:
+term (i, j) goes to slot i*W + (j - a*i - low), with one integer skew ``a``
+per product, ``low`` the least j - a*i over the operand and W, the slots per
+x-row, one more than the sum of both operands' spans of j - a*i.  The map is
+additive, so the decode adds a*i plus both operands' ``low`` back.  The path
+recursion's supports are thin diagonal bands, so the best skew shrinks W
+several-fold, and packs the diagonal (1 + tx)^k one slot per row.  The span of
+j - a*i is convex in a, so a walk from a = 0 that stops when W stops shrinking
+finds the best skew.
 """
 
 from __future__ import annotations
@@ -54,17 +64,25 @@ def _mul_schoolbook(a: dict[tuple[int, int], int], b: dict[tuple[int, int], int]
     return out
 
 
-def _pack(d: dict[tuple[int, int], int], width: int, slot_bytes: int) -> int:
-    """Pack d into one signed integer: sum of c * 2^(8 * slot_bytes * (i*width + j)).
+def _band(d: dict[tuple[int, int], int], skew: int) -> tuple[int, int]:
+    """The least and greatest j - skew*i over d's support."""
+    us = [j - skew * i for i, j in d]
+    return min(us), max(us)
+
+
+def _pack(d: dict[tuple[int, int], int], width: int, skew: int, low: int, slot_bytes: int) -> int:
+    """Pack d into one signed integer: sum of c * 2^(8 * slot_bytes * s), with
+    slot s = i*width + (j - skew*i - low).
 
     Positive and negative coefficients fill two little-endian byte buffers;
     the packed value is their difference.
     """
-    size = (max(i * width + j for i, j in d) + 1) * slot_bytes
+    stride = width - skew  # i*width + j - skew*i - low == i*stride + j - low
+    size = (max(i * stride + j for i, j in d) - low + 1) * slot_bytes
     pos = bytearray(size)
     neg = bytearray(size)
     for (i, j), c in d.items():
-        off = (i * width + j) * slot_bytes
+        off = (i * stride + j - low) * slot_bytes
         if c > 0:
             pos[off:off + slot_bytes] = c.to_bytes(slot_bytes, "little")
         else:
@@ -73,19 +91,28 @@ def _pack(d: dict[tuple[int, int], int], width: int, slot_bytes: int) -> int:
 
 
 def _mul_kronecker(a: dict[tuple[int, int], int], b: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
-    deg_xa = max(i for i, _ in a)
-    deg_ta = max(j for _, j in a)
-    deg_xb = max(i for i, _ in b)
-    deg_tb = max(j for _, j in b)
-    width = deg_ta + deg_tb + 1  # t-slots per x-degree in the product grid
+    def slots_per_row(skew: int) -> int:
+        (lo_a, hi_a), (lo_b, hi_b) = _band(a, skew), _band(b, skew)
+        return hi_a - lo_a + hi_b - lo_b + 1
+
+    # Walk from skew 0 in whichever direction narrows the rows, until they
+    # stop narrowing; the width is convex in the skew, so this is its minimum.
+    skew, width = 0, slots_per_row(0)
+    for step in (1, -1):
+        while (narrower := slots_per_row(skew + step)) < width:
+            skew, width = skew + step, narrower
+        if skew:
+            break
+    low_a, low_b = _band(a, skew)[0], _band(b, skew)[0]
     # Any product coefficient is bounded by the product of absolute-sum norms;
     # this slot width holds that bound plus a sign bit, so no slot overflows.
     bound = sum(abs(c) for c in a.values()) * sum(abs(c) for c in b.values())
     slot_bytes = (bound.bit_length() + 8) // 8
-    pa = _pack(a, width, slot_bytes)
-    pb = pa if a is b else _pack(b, width, slot_bytes)
-    nslots = (deg_xa + deg_xb) * width + deg_ta + deg_tb + 1
+    pa = _pack(a, width, skew, low_a, slot_bytes)
+    pb = pa if a is b else _pack(b, width, skew, low_b, slot_bytes)
+    nslots = (max(i for i, _ in a) + max(i for i, _ in b) + 1) * width
     raw = _big_mul(pa, pb).to_bytes(nslots * slot_bytes, "little", signed=True)
+    low = low_a + low_b
     out: dict[tuple[int, int], int] = {}
     frombytes = int.from_bytes
     borrow = 0
@@ -94,7 +121,8 @@ def _mul_kronecker(a: dict[tuple[int, int], int], b: dict[tuple[int, int], int])
         end = off + slot_bytes
         c = frombytes(raw[off:end], "little", signed=True)
         if c + borrow:
-            out[divmod(s, width)] = c + borrow
+            i, r = divmod(s, width)
+            out[i, r + skew * i + low] = c + borrow
         borrow = c < 0
         off = end
     return out

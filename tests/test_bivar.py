@@ -4,6 +4,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import reduce
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from treeperc import bivar
 from treeperc.bivar import BivarPoly, UniPoly, _mul_kronecker, _mul_schoolbook
 from treeperc.limits import InexactDivisionError
-from treeperc.resolutions import cut_gf, gf_to_numerator
+from treeperc.resolutions import cut_gf, gf_to_numerator, path_gf
 
 X = BivarPoly.monomial(1, 0)
 T = BivarPoly.monomial(0, 1)
@@ -158,6 +159,49 @@ class TestKroneckerProperties:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bivar, "_SCHOOLBOOK_OPS", 0)  # every product through Kronecker
             assert BivarPoly(a).power(e, m) == expected
+
+
+# Coefficients around the slot sign bits (2^7, 2^8, 2^63) and past a 64-bit word.
+edge_coefficients = st.sampled_from([127, 128, 255, 256, 2 ** 63 - 1, 2 ** 63, 2 ** 70])
+banded_coefficients = coefficients | st.builds(lambda c, sign: sign * c, edge_coefficients,
+                                               st.sampled_from([1, -1]))
+
+
+@st.composite
+def banded_pairs(draw):
+    """Two term dicts whose supports lie on bands j = skew*i + c (up to three
+    t-degrees wide) of one drawn skew; the second operand is the first one,
+    as the same object, half of the time."""
+    skew = draw(st.integers(-2, 3))
+
+    def band():
+        c = draw(st.integers(0, 3)) + 6 * max(0, -skew)  # keeps j >= 0 for i <= 6
+        keys = st.tuples(st.integers(0, 6), st.integers(0, 2)).map(
+            lambda key: (key[0], skew * key[0] + c + key[1]))
+        return draw(st.dictionaries(keys, banded_coefficients, min_size=1, max_size=12))
+
+    a = band()
+    return a, (a if draw(st.booleans()) else band())
+
+
+class TestSkewedPacking:
+    """The packing follows the support's band; schoolbook is the oracle."""
+
+    @settings(derandomize=True, database=None, max_examples=200)
+    @given(banded_pairs())
+    def test_banded_kronecker_equals_schoolbook(self, pair):
+        a, b = pair
+        assert _mul_kronecker(a, b) == _mul_schoolbook(a, b)
+
+    def test_diagonal_power_packs_one_slot_per_row(self, monkeypatch):
+        # (1 + tx)^512 - 1 lies on the diagonal j = i: skew 1 packs each
+        # x-row into one slot, where the bounding rectangle packed 513.
+        bits = []
+        monkeypatch.setattr(bivar, "_big_mul",
+                            lambda x, y: bits.append(max(x.bit_length(), y.bit_length())) or x * y)
+        expected = BivarPoly({(i, i): comb(512, i) for i in range(1, 513)})
+        assert path_gf(512, 1) == expected
+        assert bits and max(bits) < 1_000_000
 
 
 class TestTruncateX:

@@ -15,11 +15,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
 from typing import Sequence
 
 from . import asymptotics, percolation, resolutions, verify
+from .bivar import _int_text
 from .limits import BudgetExceededError, TreepercError
 
 EXIT_OK = 0
@@ -34,35 +34,6 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {text!r}") from exc
-
-
-_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
-
-
-def _int_text(value: int) -> str:
-    """Decimal digits of an int of any size.
-
-    str() refuses ints above 4,300 digits and is quadratic in their length.
-    Here the bits are split in halves, each half converted on its own, and
-    the halves recombined as lo + hi * 2^w in exact ``decimal`` arithmetic.
-    """
-    powers: dict[int, Decimal] = {}
-
-    def pow2(w: int) -> Decimal:
-        if w not in powers:
-            powers[w] = Decimal(2) ** w if w <= 128 else pow2(w >> 1) * pow2(w - (w >> 1))
-        return powers[w]
-
-    def digits(n: int, w: int) -> Decimal:
-        if w <= 128:
-            return Decimal(n)
-        half = w >> 1
-        hi = n >> half
-        return digits(n - (hi << half), half) + digits(hi, w - half) * pow2(half)
-
-    n = abs(value)
-    with localcontext(_EXACT):
-        return ("-" if value < 0 else "") + str(digits(n, n.bit_length()))
 
 
 def _exact_text(value: Fraction) -> str:

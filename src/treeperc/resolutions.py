@@ -37,7 +37,7 @@ from __future__ import annotations
 from math import comb
 from typing import Mapping, Sequence
 
-from .bivar import BivarPoly
+from .bivar import BivarPoly, _int_text
 from . import limits
 from .limits import check_tree
 
@@ -125,11 +125,11 @@ class BettiTable:
 
     def to_csv(self) -> str:
         lines = ["i,j,beta"]
-        lines.extend(f"{i},{j},{beta}" for i, j, beta in self.entries())
+        lines.extend(f"{i},{j},{_int_text(beta)}" for i, j, beta in self.entries())
         return "\n".join(lines) + "\n"
 
     def to_json_obj(self) -> list[dict[str, object]]:
-        return [{"i": i, "j": j, "beta": str(beta)} for i, j, beta in self.entries()]
+        return [{"i": i, "j": j, "beta": _int_text(beta)} for i, j, beta in self.entries()]
 
     def render_layout(self) -> str:
         """Text table in the printed layout: columns i, rows r = j - i.
@@ -139,9 +139,9 @@ class BettiTable:
         cols = list(range(1, self.max_i + 1))
         totals = self.totals()
         get = self._entries.get
-        rows = [["total"] + [str(totals[i]) for i in cols]]
+        rows = [["total"] + [_int_text(totals[i]) for i in cols]]
         for r in range(1, self.max_offset() + 1):
-            rows.append([str(r)] + [str(get((i, i + r)) or ".") for i in cols])
+            rows.append([str(r)] + [_int_text(beta) if (beta := get((i, i + r))) else "." for i in cols])
         header = ["j-i \\ i"] + [str(i) for i in cols]
         widths = [max(len(header[c]), *(len(row[c]) for row in rows)) for c in range(len(header))]
         out_lines = ["  ".join(h.rjust(w) for h, w in zip(header, widths))]

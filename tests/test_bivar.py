@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 from functools import reduce
 from math import comb
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeperc import bivar
-from treeperc.bivar import BivarPoly, UniPoly, _mul_kronecker, _mul_schoolbook
+from treeperc.bivar import BivarPoly, UniPoly, _int_text, _mul_kronecker, _mul_schoolbook, _text_int
 from treeperc.limits import InexactDivisionError
 from treeperc.resolutions import cut_gf, gf_to_numerator, path_gf
 
@@ -202,6 +203,92 @@ class TestSkewedPacking:
         expected = BivarPoly({(i, i): comb(512, i) for i in range(1, 513)})
         assert path_gf(512, 1) == expected
         assert bits and max(bits) < 1_000_000
+
+
+# Absolute-sum norms on either side of a decimal slot boundary: a slot of
+# base 10^w holds products whose norm bound is below 10^w / 2.
+SLOT_EDGES = [4, 5, 49, 50, 499, 500, 5 * 10 ** 20 - 1, 5 * 10 ** 20, 5 * 10 ** 20 + 1]
+
+
+@st.composite
+def slot_edge_pairs(draw):
+    """An operand whose norm is a slot edge (or a sign-bit or word edge),
+    times a signed monomial, so the product's norm bound is that edge and
+    its largest coefficient reaches it; or the operand squared.  Half of
+    the operands have only negative coefficients."""
+    norm = draw(st.sampled_from(SLOT_EDGES) | edge_coefficients)
+    keys = st.tuples(st.integers(0, 3), st.integers(0, 5))
+    a = draw(st.dictionaries(keys, st.sampled_from([1, -1]), max_size=3))
+    key = draw(keys.filter(lambda k: k not in a))
+    a[key] = draw(st.sampled_from([1, -1])) * (norm - len(a))
+    if draw(st.booleans()):
+        a = {k: -abs(c) for k, c in a.items()}
+    if draw(st.booleans()):
+        return a, a
+    return a, {draw(keys): draw(st.sampled_from([1, -1]))}
+
+
+class TestDecimalSlots:
+    """Products packed in decimal-digit slots; schoolbook is the oracle."""
+
+    @settings(derandomize=True, database=None, max_examples=200)
+    @given(slot_edge_pairs())
+    def test_slot_edges_equal_schoolbook(self, pair):
+        a, b = pair
+        assert _mul_kronecker(a, b) == _mul_schoolbook(a, b)
+
+    def test_norm_bound_is_reached_on_both_sides_of_each_edge(self):
+        for norm in SLOT_EDGES:
+            for sign in (1, -1):
+                a = {(0, 0): sign * norm}
+                assert _mul_kronecker(a, {(1, 2): 1}) == {(1, 2): sign * norm}
+                assert _mul_kronecker(a, {(1, 2): -1}) == {(1, 2): -sign * norm}
+                # a mixed-sign operand of the same norm, squared: negative
+                # slots borrow from the slots above them
+                edge = {(0, 0): -(norm - 2), (0, 1): sign, (1, 0): -1}
+                assert _mul_kronecker(edge, edge) == _mul_schoolbook(edge, edge)
+
+    def test_coefficients_above_the_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        big = 10 ** 5000 + 12_345
+        a = {(0, 0): big, (1, 2): -3, (0, 1): -(big // 7)}
+        b = {(1, 1): -big + 1, (2, 0): 5, (0, 0): 2}
+        assert _mul_kronecker(a, b) == _mul_schoolbook(a, b)
+        assert _mul_kronecker(a, a) == _mul_schoolbook(a, a)
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_packed_operands_report_a_bit_length_upper_bound(self, monkeypatch):
+        seen = []
+
+        def big_mul(x, y):
+            seen.append((x.bit_length(), y.bit_length(), int(x).bit_length(), int(y).bit_length()))
+            return x * y
+
+        monkeypatch.setattr(bivar, "_big_mul", big_mul)
+        a = {(0, 0): 3, (2, 1): -5, (1, 4): 2 ** 70}
+        _mul_kronecker(a, {(1, 3): 7, (0, 0): -1})
+        _mul_kronecker(a, a)
+        assert len(seen) == 2
+        for bound_x, bound_y, exact_x, exact_y in seen:
+            assert exact_x <= bound_x <= exact_x + 4 and exact_y <= bound_y <= exact_y + 4
+
+
+class TestDigitText:
+    def test_text_int_inverts_int_text_at_every_size(self):
+        rng = random.Random(21)
+        values = [0, 1, -1, 10 ** 639, 10 ** 640, -(10 ** 641), 2 ** 2048, -(2 ** 2048) - 1,
+                  10 ** 5000, -(10 ** 5000) + 1]
+        for size in (100, 2_047, 2_049, 14_000, 30_000, 100_000):
+            values.extend([rng.getrandbits(size), -rng.getrandbits(size)])
+        limit = sys.get_int_max_str_digits()
+        for v in values:
+            assert _text_int(_int_text(v)) == v
+        assert _text_int("000123") == 123 and _text_int("0" * 5000 + "7") == 7
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_json_form_of_a_coefficient_above_the_digit_limit(self):
+        obj = poly({(1, 2): -(10 ** 5000)}).to_json_obj()
+        assert obj == [{"x": 1, "t": 2, "c": "-1" + "0" * 5000}]
 
 
 class TestTruncateX:

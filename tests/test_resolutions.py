@@ -236,6 +236,16 @@ class TestBettiTable:
         with pytest.raises(ValueError):
             BettiTable({(1, 2): -1})
 
+    def test_renders_an_entry_above_the_digit_limit(self):
+        huge = "1" + "0" * 5000
+        t = BettiTable({(0, 0): 1, (1, 2): 10 ** 5000, (2, 4): 3})
+        assert t.to_csv().splitlines() == ["i,j,beta", "0,0,1", f"1,2,{huge}", "2,4,3"]
+        assert t.to_json_obj()[1] == {"i": 1, "j": 2, "beta": huge}
+        lines = t.render_layout().splitlines()
+        assert lines[1].split() == ["total", huge, "3"]
+        assert lines[2].split() == ["1", huge, "."]
+        assert lines[3].split() == ["2", ".", "3"]
+
 
 class TestPathBettiRecursive:
     def test_depth_one(self):

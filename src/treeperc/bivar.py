@@ -52,7 +52,6 @@ finds the best skew.
 
 from __future__ import annotations
 
-import sys
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, localcontext
 from typing import Iterator, Mapping, Union
 
@@ -68,7 +67,7 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
 # Python may refuse int <-> str conversions above a digit limit, which can be
 # set as low as 640 digits but never lower; str() and int() stay the fast path
 # below it.  2,048 bits are at most 617 digits.
-_STR_DIGITS = getattr(sys.int_info, "str_digits_check_threshold", 640)
+_STR_DIGITS = 640
 _STR_BITS = 2048
 _STR_LIMIT = 1 << _STR_BITS
 

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from math import comb, factorial
 
 from . import limits
+from .bivar import _int_text
 from .limits import check_tree
 from .resolutions import BettiTable, betti_rows, betti_table, cut_gf
 
@@ -214,11 +215,7 @@ ASYMPTOTIC_CSV_HEADER = "i,j,beta,n"
 
 
 def render_asymptotic_csv(table: BettiTable) -> str:
-    """CSV rows i,j,beta,n for the limiting table; the depth column carries
-    "inf"."""
-    lines = [ASYMPTOTIC_CSV_HEADER]
-    for i, j, beta in table.entries():
-        if i == 0:
-            continue
-        lines.append(f"{i},{j},{beta},inf")
-    return "\n".join(lines) + "\n"
+    """CSV rows i,j,beta,n for the limiting table, in any size; the depth
+    column carries "inf"."""
+    rows = (f"{i},{j},{_int_text(beta)},inf\n" for i, j, beta in table.entries()[1:])
+    return ASYMPTOTIC_CSV_HEADER + "\n" + "".join(rows)

@@ -53,7 +53,7 @@ finds the best skew.
 from __future__ import annotations
 
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, localcontext
-from typing import Iterator, Mapping, Union
+from typing import Mapping, Union
 
 Term = tuple[int, int, int]
 
@@ -375,9 +375,6 @@ class BivarPoly(_SparsePoly):
     def terms(self) -> tuple[Term, ...]:
         """Canonically ordered terms: x-degree major, t-degree minor."""
         return tuple((i, j, self._terms[(i, j)]) for (i, j) in sorted(self._terms))
-
-    def __iter__(self) -> Iterator[Term]:
-        return iter(self.terms())
 
     # -- arithmetic --------------------------------------------------------
 

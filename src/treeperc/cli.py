@@ -197,12 +197,13 @@ def cmd_asymptotic(args: argparse.Namespace) -> int:
 
 def cmd_mandelbrot(args: argparse.Namespace) -> int:
     z = resolutions.mandelbrot_iterate(args.n, max_degree=args.m)
-    obj = {
-        "n": args.n,
-        "coefficients": [z.coefficient(d, 0) for d in range(max(z.deg_x, 0) + 1)],
-        "truncated_at": args.m,
-    }
-    _emit(_json_text(obj), args.out)
+    # json.dumps writes ints through the digit-limited str(), so the text is laid
+    # out here as json.dumps would, in one join to build it only once.
+    head, tail = _json_text({"coefficients": [], "n": args.n, "truncated_at": args.m}).split("[]")
+    items = [_int_text(z.coefficient(d, 0)) for d in range(max(z.deg_x, 0) + 1)]
+    items[0] = head + "[\n    " + items[0]
+    items[-1] += "\n  ]" + tail
+    _emit(",\n    ".join(items), args.out)
     return EXIT_OK
 
 

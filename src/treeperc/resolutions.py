@@ -136,18 +136,19 @@ class BettiTable:
 
         A "total" row leads; zero cells print as ".".
         """
-        cols = list(range(1, self.max_i + 1))
-        totals = self.totals()
+        totals: dict[int, int] = {}
+        max_r = 0
+        for (i, j), beta in self._entries.items():
+            totals[i] = totals.get(i, 0) + beta
+            max_r = max(max_r, j - i)
+        cols = range(1, max(totals) + 1)
         get = self._entries.get
-        rows = [["total"] + [_int_text(totals[i]) for i in cols]]
-        for r in range(1, self.max_offset() + 1):
-            rows.append([str(r)] + [_int_text(beta) if (beta := get((i, i + r))) else "." for i in cols])
-        header = ["j-i \\ i"] + [str(i) for i in cols]
-        widths = [max(len(header[c]), *(len(row[c]) for row in rows)) for c in range(len(header))]
-        out_lines = ["  ".join(h.rjust(w) for h, w in zip(header, widths))]
-        for row in rows:
-            out_lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
-        return "\n".join(out_lines) + "\n"
+        grid = [["j-i \\ i"] + [str(i) for i in cols],
+                ["total"] + [_int_text(totals.get(i, 0)) for i in cols]]
+        for r in range(1, max_r + 1):
+            grid.append([str(r)] + [_int_text(beta) if (beta := get((i, i + r))) else "." for i in cols])
+        widths = [max(map(len, column)) for column in zip(*grid)]
+        return "".join("  ".join(cell.rjust(w) for cell, w in zip(row, widths)) + "\n" for row in grid)
 
 
 # -- generating functions ----------------------------------------------------
@@ -284,17 +285,17 @@ def gf_to_numerator(g: BivarPoly) -> BivarPoly:
 def betti_table(g: BivarPoly) -> BettiTable:
     """Read the graded Betti table off a generating function.
 
-    Entry (i, j) is the coefficient of x^i t^j; beta_{0,0} = 1 is added.
-    Rejects polynomials that are not generating functions (negative
-    coefficients or x-free terms).
+    Entry (i, j) is the coefficient of x^i t^j; beta_{0,0} = 1 comes first,
+    then the terms in canonical order.  Rejects x-free terms; ``BettiTable``
+    rejects negative coefficients.
     """
+    terms = g.terms()
+    if terms and terms[0][0] == 0:
+        raise ValueError("generating functions have no x-free terms")
     entries: GradedEntries = {(0, 0): 1}
-    for i, j, c in g.terms():
-        if c < 0:
-            raise ValueError(f"negative coefficient at x^{i} t^{j}: not a generating function")
-        if i == 0:
-            raise ValueError("generating functions have no x-free terms")
+    for i, j, c in terms:
         entries[(i, j)] = c
+    del terms  # freed before the table copies the entries
     return BettiTable(entries)
 
 

@@ -18,7 +18,7 @@ from treeperc.asymptotics import (
     stabilization_prefix,
 )
 from treeperc.limits import BudgetExceededError
-from treeperc.resolutions import betti_table, cut_gf
+from treeperc.resolutions import BettiTable, betti_table, cut_gf
 
 CATALAN_PREFIX = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796)
 
@@ -140,6 +140,11 @@ class TestAsymptoticTable:
         # The unit entry (0,0) is a quotient-resolution artifact, not an
         # asymptotic statement, so the export skips it.
         assert not any(line.startswith("0,") for line in lines[1:])
+
+    def test_csv_renders_an_entry_above_the_digit_limit(self):
+        huge = "1" + "0" * 5000
+        text = render_asymptotic_csv(BettiTable({(0, 0): 1, (1, 2): 10 ** 5000, (2, 4): 3}))
+        assert text == f"i,j,beta,n\n1,2,{huge},inf\n2,4,3,inf\n"
 
 
 class TestBettiFromMandelbrot:

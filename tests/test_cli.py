@@ -305,6 +305,18 @@ class TestMandelbrot:
                 argv = ["mandelbrot", "--n", str(n)] + ([] if m is None else ["--m", str(m)])
                 assert run(capsys, *argv) == (EXIT_OK, expected), argv
 
+    def test_prints_the_same_bytes_at_the_lowest_digit_limit(self, capsys):
+        # z_13 has a 723-digit coefficient, above the lowest limit Python accepts.
+        expected = run(capsys, "mandelbrot", "--n", "13")
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            got = run(capsys, "mandelbrot", "--n", "13")
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert expected[0] == EXIT_OK
+        assert got == expected
+
     def test_negative_truncation_is_usage_error(self, capsys):
         for n in ("0", "3"):
             code, out = run(capsys, "mandelbrot", "--n", n, "--m", "-1")

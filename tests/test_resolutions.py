@@ -236,6 +236,22 @@ class TestBettiTable:
         with pytest.raises(ValueError):
             BettiTable({(1, 2): -1})
 
+    def test_betti_table_refuses_negative_coefficients(self):
+        with pytest.raises(ValueError):
+            betti_table(poly({(1, 2): 1, (2, 3): -1}))
+
+    @pytest.mark.parametrize("terms", [{(0, 2): 1, (1, 2): 1}, {(0, 0): 1, (1, 1): 1}])
+    def test_betti_table_refuses_x_free_terms(self, terms):
+        # A constant term 1 would otherwise pass as beta_{0,0}.
+        with pytest.raises(ValueError, match="x-free"):
+            betti_table(poly(terms))
+
+    def test_betti_table_inserts_the_unit_first_then_canonical_order(self):
+        # The verify report prints repr(as_dict()), so the order is output.
+        keys = list(betti_table(cut_gf(2, 3)).as_dict())
+        assert keys[0] == (0, 0)
+        assert keys[1:] == sorted(keys[1:]) and len(keys) == 1 + cut_gf(2, 3).term_count()
+
     def test_renders_an_entry_above_the_digit_limit(self):
         huge = "1" + "0" * 5000
         t = BettiTable({(0, 0): 1, (1, 2): 10 ** 5000, (2, 4): 3})

@@ -10,144 +10,68 @@ asymptotics, and cross-checked against independent exhaustive oracles.
 
 from __future__ import annotations
 
-from .asymptotics import (
-    MandelbrotLimitReport,
-    MandelbrotPolynomial,
-    asymptotic_betti_k2,
-    asymptotic_table,
-    betti_from_mandelbrot,
-    catalan,
-    mandelbrot_catalan_limit_check,
-    mandelbrot_poly,
-    stabilization_prefix,
-)
-from .bivar import BivarPoly, UniPoly
-from .limits import (
-    Budget,
-    BudgetExceededError,
-    DEFAULT_BUDGET,
-    InexactDivisionError,
-    NoRealRootError,
-    PoleError,
-    TreepercError,
-)
-from .oracle import (
-    MonomialSet,
-    alexander_dual,
-    cut_gf_recursive,
-    cut_monomials,
-    double_bridge_cut_monomials,
-    double_bridge_path_monomials,
-    failure_exhaustive,
-    multigraded_betti_homology,
-    path_monomials,
-    reliability_exhaustive,
-    taylor_numerator,
-    union_probability_exhaustive,
-)
-from .percolation import (
-    BoundResult,
-    CurveRow,
-    closed_form_path_bound,
-    curve_figure3,
-    curve_figure4,
-    curve_rows_cut,
-    curve_rows_path,
-    cut_asymptote_closed_form_k2_m2,
-    cut_bound,
-    cut_bound_m2_recursive,
-    cut_fixed_point_m2,
-    failure_exact,
-    path_bound,
-    percolation_exact,
-    percolation_infinite,
-    q_star,
-    q_star_exact,
-    render_curve_csv,
-)
-from .resolutions import (
-    BettiTable,
-    betti_table,
-    cut_gf,
-    cut_x_degree,
-    gf_to_numerator,
-    mandelbrot_iterate,
-    multibrot,
-    path_betti_recursive,
-    path_gf,
-    tensor_product_betti,
-    tensor_sum_betti,
-)
-from .trees import TreeSpec, enumerate_minimal_cuts, enumerate_path_generators, percolates
-from .verify import CheckResult, VerifyReport, run_verify
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BettiTable",
-    "BivarPoly",
-    "BoundResult",
-    "Budget",
-    "BudgetExceededError",
-    "CheckResult",
-    "CurveRow",
-    "DEFAULT_BUDGET",
-    "InexactDivisionError",
-    "MandelbrotLimitReport",
-    "MandelbrotPolynomial",
-    "MonomialSet",
-    "NoRealRootError",
-    "PoleError",
-    "TreeSpec",
-    "TreepercError",
-    "UniPoly",
-    "VerifyReport",
-    "alexander_dual",
-    "asymptotic_betti_k2",
-    "asymptotic_table",
-    "betti_from_mandelbrot",
-    "betti_table",
-    "catalan",
-    "closed_form_path_bound",
-    "curve_figure3",
-    "curve_figure4",
-    "curve_rows_cut",
-    "curve_rows_path",
-    "cut_asymptote_closed_form_k2_m2",
-    "cut_bound",
-    "cut_bound_m2_recursive",
-    "cut_fixed_point_m2",
-    "cut_gf",
-    "cut_gf_recursive",
-    "cut_monomials",
-    "cut_x_degree",
-    "double_bridge_cut_monomials",
-    "double_bridge_path_monomials",
-    "enumerate_minimal_cuts",
-    "enumerate_path_generators",
-    "failure_exact",
-    "failure_exhaustive",
-    "gf_to_numerator",
-    "mandelbrot_catalan_limit_check",
-    "mandelbrot_iterate",
-    "mandelbrot_poly",
-    "multibrot",
-    "multigraded_betti_homology",
-    "path_betti_recursive",
-    "path_bound",
-    "path_gf",
-    "path_monomials",
-    "percolates",
-    "percolation_exact",
-    "percolation_infinite",
-    "q_star",
-    "q_star_exact",
-    "reliability_exhaustive",
-    "render_curve_csv",
-    "run_verify",
-    "stabilization_prefix",
-    "taylor_numerator",
-    "tensor_product_betti",
-    "tensor_sum_betti",
-    "union_probability_exhaustive",
-]
+# Home module of each exported name.  ``import treeperc`` loads no submodule:
+# a name's module is imported the first time the name is read (PEP 562), so a
+# CLI command loads only the modules it runs.
+_HOMES = {
+    "asymptotics": (
+        "MandelbrotLimitReport", "MandelbrotPolynomial", "asymptotic_betti_k2",
+        "asymptotic_table", "betti_from_mandelbrot", "catalan",
+        "mandelbrot_catalan_limit_check", "mandelbrot_poly",
+        "stabilization_prefix",
+    ),
+    "bivar": ("BivarPoly", "UniPoly"),
+    "limits": (
+        "Budget", "BudgetExceededError", "DEFAULT_BUDGET",
+        "InexactDivisionError", "NoRealRootError", "PoleError",
+        "TreepercError",
+    ),
+    "oracle": (
+        "MonomialSet", "alexander_dual", "cut_gf_recursive", "cut_monomials",
+        "double_bridge_cut_monomials", "double_bridge_path_monomials",
+        "failure_exhaustive", "multigraded_betti_homology", "path_monomials",
+        "reliability_exhaustive", "taylor_numerator",
+        "union_probability_exhaustive",
+    ),
+    "percolation": (
+        "BoundResult", "CurveRow", "closed_form_path_bound", "curve_figure3",
+        "curve_figure4", "curve_rows_cut", "curve_rows_path",
+        "cut_asymptote_closed_form_k2_m2", "cut_bound",
+        "cut_bound_m2_recursive", "cut_fixed_point_m2", "failure_exact",
+        "path_bound", "percolation_exact", "percolation_infinite", "q_star",
+        "q_star_exact", "render_curve_csv",
+    ),
+    "resolutions": (
+        "BettiTable", "betti_table", "cut_gf", "cut_x_degree",
+        "gf_to_numerator", "mandelbrot_iterate", "multibrot",
+        "path_betti_recursive", "path_gf", "tensor_product_betti",
+        "tensor_sum_betti",
+    ),
+    "trees": (
+        "TreeSpec", "enumerate_minimal_cuts", "enumerate_path_generators",
+        "percolates",
+    ),
+    "verify": ("CheckResult", "VerifyReport", "run_verify"),
+}
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME_OF)
+
+
+def __getattr__(name: str):
+    # Looked up on every access, never stored in the package's globals, so a
+    # rebinding in the home module (a test's monkeypatch, a tracer's wrapper)
+    # is what the package name reads too.
+    try:
+        module = _HOME_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -7,7 +7,11 @@ invocations produce byte-identical artifacts (no timestamps or environment
 data in any output).
 
 Exit codes: 0 success, 1 verification-check failure, 2 usage or domain error,
-3 budget exceeded.
+3 budget exceeded (a size cap, or memory running out).
+
+Each subcommand imports the modules it runs when it runs, so a launch loads
+only those: ``--help`` loads none of the computing modules, and only
+``verify`` loads the check battery and its oracles.
 """
 
 from __future__ import annotations
@@ -18,9 +22,8 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from . import asymptotics, percolation, resolutions, verify
 from .bivar import _int_text
-from .limits import BudgetExceededError, TreepercError
+from .limits import SCOPES, BudgetExceededError, TreepercError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -55,6 +58,8 @@ def _json_text(obj) -> str:
 
 
 def _gf(args: argparse.Namespace):
+    from . import resolutions
+
     if args.ideal == "path":
         return resolutions.path_gf(args.k, args.n)
     return resolutions.cut_gf(args.k, args.n)
@@ -64,6 +69,8 @@ def _gf(args: argparse.Namespace):
 
 
 def cmd_betti(args: argparse.Namespace) -> int:
+    from . import resolutions
+
     table = resolutions.betti_table(_gf(args))
     artifact = table.to_csv() if args.format == "csv" else _json_text(table.to_json_obj())
     if args.out:
@@ -76,6 +83,8 @@ def cmd_betti(args: argparse.Namespace) -> int:
 
 
 def cmd_hilbert(args: argparse.Namespace) -> int:
+    from . import resolutions
+
     numerator = resolutions.gf_to_numerator(_gf(args))
     obj = {
         "ideal": args.ideal,
@@ -89,6 +98,8 @@ def cmd_hilbert(args: argparse.Namespace) -> int:
 
 
 def cmd_percolation(args: argparse.Namespace) -> int:
+    from . import percolation
+
     if args.p is not None:
         side, at = "percolation", parse_rational(args.p)
     else:
@@ -119,6 +130,8 @@ def cmd_percolation(args: argparse.Namespace) -> int:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
+    from . import percolation
+
     if args.ideal == "path":
         if args.p is None:
             raise ValueError("path bounds take --p")
@@ -145,6 +158,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
+    from . import percolation
+
     if args.preset == "figure3":
         rows = percolation.curve_figure3(args.samples)
     elif args.preset == "figure4":
@@ -163,6 +178,8 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 
 def cmd_critical(args: argparse.Namespace) -> int:
+    from . import percolation
+
     qs = percolation.q_star(args.k)
     exact = percolation.q_star_exact(args.k)
     if args.q is not None:
@@ -182,6 +199,8 @@ def cmd_critical(args: argparse.Namespace) -> int:
 
 
 def cmd_asymptotic(args: argparse.Namespace) -> int:
+    from . import asymptotics
+
     table = asymptotics.asymptotic_table(args.m)
     if args.format == "csv":
         artifact = asymptotics.render_asymptotic_csv(table)
@@ -196,6 +215,8 @@ def cmd_asymptotic(args: argparse.Namespace) -> int:
 
 
 def cmd_mandelbrot(args: argparse.Namespace) -> int:
+    from . import resolutions
+
     z = resolutions.mandelbrot_iterate(args.n, max_degree=args.m)
     # json.dumps writes ints through the digit-limited str(), so the text is laid
     # out here as json.dumps would, in one join to build it only once.
@@ -208,6 +229,8 @@ def cmd_mandelbrot(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify
+
     report = verify.run_verify(args.scope)
     artifact = report.to_json() if args.format == "json" else report.render_text()
     _emit(artifact, args.out)
@@ -297,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mandelbrot)
 
     p = sub.add_parser("verify", help="run the self-verification battery")
-    p.add_argument("--scope", choices=verify.SCOPES, default="quick")
+    p.add_argument("--scope", choices=SCOPES, default="quick")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
@@ -316,6 +339,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:
+        print(f"budget exceeded: out of memory in {args.subcommand}", file=sys.stderr)
         return EXIT_BUDGET
     except (TreepercError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

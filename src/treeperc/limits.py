@@ -1,4 +1,4 @@
-"""Resource budgets and package-wide exception types.
+"""Resource budgets, package-wide exception types and the verify scopes.
 
 Generating-function recursions grow doubly exponentially in coefficient size,
 so every potentially large computation checks its size against
@@ -62,6 +62,11 @@ class Budget:
 
 
 DEFAULT_BUDGET = Budget()
+
+
+# The verify battery's scopes, cheapest first.  Kept here, not in ``verify``,
+# so that the CLI parser offers them without loading the battery.
+SCOPES = ("quick", "full")
 
 
 def check_tree(k: int, n: int | None = None, min_n: int = 1) -> None:

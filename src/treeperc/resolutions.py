@@ -119,7 +119,10 @@ class BettiTable:
         return hash(frozenset(self._entries.items()))
 
     def __repr__(self) -> str:
-        return f"BettiTable({len(self._entries)} entries, totals {self.totals()})"
+        # As repr of the totals tuple, but with digits past the int/str limit.
+        totals = self.totals()
+        text = ", ".join(map(_int_text, totals)) + ("," if len(totals) == 1 else "")
+        return f"BettiTable({len(self._entries)} entries, totals ({text}))"
 
     # -- serialization -------------------------------------------------------
 

@@ -31,8 +31,7 @@ from math import comb
 
 from . import asymptotics, oracle, percolation, resolutions, trees
 from .bivar import BivarPoly
-
-SCOPES = ("quick", "full")
+from .limits import SCOPES
 
 
 @dataclass(frozen=True)

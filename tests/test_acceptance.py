@@ -278,7 +278,8 @@ def test_criterion_09_infinite_percolation(acceptance):
               + " against tolerance 1e-06"
               + ("" if ok_gaps else
                  " -- the depth-30 iterate has not converged at p=0.6 "
-                 "(contraction factor ~0.75 gives ~2.6e-4 after 30 levels); "
+                 "(the recursion contracts by its slope 2p(1 - pP*) = 0.80 per level, "
+                 "so the gap first falls below 1e-6 at depth 55); "
                  "the p=0.75 and p=0.9 clauses hold"))
     assert acceptance(9, ok, detail), detail
 

@@ -2,15 +2,18 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import treeperc.verify as verify
-from treeperc import asymptotics, cli, percolation
+from treeperc import asymptotics, cli, percolation, resolutions
 from treeperc.asymptotics import mandelbrot_poly
 from treeperc.bivar import BivarPoly
 from treeperc.cli import (
@@ -382,3 +385,55 @@ class TestUsageErrors:
         # perfbench times `python -m treeperc.cli --help` as the start-up probe.
         assert main(["--help"] if sub is None else [sub, "--help"]) == EXIT_OK
         assert "usage: treeperc" in capsys.readouterr().out
+
+
+class TestOutOfMemory:
+    def test_memory_error_exits_as_budget_exceeded(self, capsys, monkeypatch):
+        def exhausted(gf):
+            raise MemoryError
+
+        monkeypatch.setattr(resolutions, "betti_table", exhausted)
+        code = main(["betti", "--ideal", "cut", "--k", "2", "--n", "2"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_BUDGET and out == ""
+        assert err == "budget exceeded: out of memory in betti\n"
+
+
+# Prints the exit code and the treeperc modules loaded after one command.
+FOOTPRINT = """
+import contextlib, io, sys
+from treeperc import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, *sorted(name for name in sys.modules if name.startswith("treeperc.")))
+"""
+NOT_RUN = {"asymptotics", "oracle", "trees", "verify"}
+# argv -> (modules it must load, modules it must not load)
+FOOTPRINTS = {
+    "--help": ({"cli"}, NOT_RUN | {"percolation", "resolutions"}),
+    "bound --ideal cut --k 2 --n 3 --m 2 --q 1/5": ({"percolation"}, NOT_RUN),
+    "percolation --k 2 --n 3 --p 1/2": ({"percolation"}, NOT_RUN),
+    "curve --k 2 --n 2 --m-lower 1 --m-upper 2 --samples 3": ({"percolation"}, NOT_RUN),
+    "critical --k 2": ({"percolation"}, NOT_RUN),
+    "betti --ideal cut --k 2 --n 2": ({"resolutions"}, NOT_RUN | {"percolation"}),
+    "hilbert --ideal path --k 2 --n 2": ({"resolutions"}, NOT_RUN),
+    "mandelbrot --n 3": ({"resolutions"}, NOT_RUN),
+    "asymptotic --m 3": ({"asymptotics"}, NOT_RUN - {"asymptotics"}),
+}
+
+
+class TestImportFootprint:
+    """A launch loads only the modules its subcommand runs."""
+
+    @pytest.mark.parametrize("argv", FOOTPRINTS)
+    def test_command_loads_only_what_it_runs(self, argv):
+        loads, skips = FOOTPRINTS[argv]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, "-c", FOOTPRINT, *argv.split()], env=env,
+                              capture_output=True, text=True, check=True)
+        code, *names = done.stdout.split()
+        loaded = {name.removeprefix("treeperc.") for name in names}
+        assert code == "0"
+        assert loads <= loaded and not skips & loaded, sorted(loaded)

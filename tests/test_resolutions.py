@@ -262,6 +262,16 @@ class TestBettiTable:
         assert lines[2].split() == ["1", huge, "."]
         assert lines[3].split() == ["2", ".", "3"]
 
+    def test_repr_above_the_digit_limit(self):
+        huge = "1" + "0" * 5000
+        t = BettiTable({(0, 0): 1, (1, 2): 10 ** 5000, (2, 4): 3})
+        assert repr(t) == f"BettiTable(3 entries, totals (1, {huge}, 3))"
+
+    @pytest.mark.parametrize("entries", [{(0, 0): 1}, {(0, 0): 1, (1, 2): 3, (2, 3): 2}])
+    def test_repr_reads_as_the_totals_tuple(self, entries):
+        t = BettiTable(entries)
+        assert repr(t) == f"BettiTable({len(entries)} entries, totals {t.totals()!r})"
+
 
 class TestPathBettiRecursive:
     def test_depth_one(self):

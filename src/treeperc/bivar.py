@@ -17,21 +17,22 @@ monomial.
 
 Products switch between schoolbook convolution and Kronecker substitution
 (packing each polynomial into one huge number, so one big multiply does the
-convolution).  The packed numbers are decimal: each operand is one string of
-zero-padded w-digit slots with 10^w above twice the product of both
-operands' absolute-coefficient sums, which bounds every convolution entry.
-A signed operand is its positive part minus its negative part, so a product
-is a single big multiply, and a square (``a is b``) a single squaring.  The
-multiply runs in ``decimal``'s C backend (libmpdec), whose number-theoretic
-transform beats CPython's Karatsuba int multiply about ten-fold at the sizes
-the recursions reach (a 4.9 Mbit squaring: 0.09 s against 0.87 s as ints,
-Python 3.11 on a 2-core Xeon).
+convolution).  Kronecker substitution takes operands with nonnegative
+coefficients only, as every product of the path and cut recursions is; a
+product with a negative coefficient in either operand goes to schoolbook.
+The packed numbers are decimal: each operand is one string of zero-padded
+w-digit slots with 10^w above the product of both operands' coefficient sums,
+which bounds every convolution entry.  So a product is a single big multiply,
+and a square (``a is b``) a single squaring.  The multiply runs in
+``decimal``'s C backend (libmpdec), whose number-theoretic transform beats
+CPython's Karatsuba int multiply about ten-fold at the sizes the recursions
+reach (a 4.9 Mbit squaring: 0.09 s against 0.87 s as ints, Python 3.11 on a
+2-core Xeon).
 Each operand is a ``_Packed``, a ``Decimal`` whose ``*`` is exact and whose
 ``bit_length()`` is an upper bound from its digit count, so ``_big_mul`` stays
 ``a * b``, the one seam where a profiler or tracer can time and size the
-multiply.  The product's digits are read back one balanced slot at a time
-from the least significant end: a slot above half the base is negative and
-borrowed 1 from the slot above it.  Then the product's sign applies.
+multiply.  The product's digits are read back one slot at a time from the
+least significant end, each slot a coefficient as it stands.
 
 Python refuses int <-> str conversions above a digit limit (4,300 digits by
 default).  ``_int_text`` and its inverse ``_text_int`` convert at any size
@@ -159,32 +160,23 @@ def _band(d: dict[tuple[int, int], int], skew: int) -> tuple[int, int]:
 
 
 def _pack(d: dict[tuple[int, int], int], width: int, skew: int, low: int, digits: int) -> _Packed:
-    """Pack d into one signed number: sum of c * 10^(digits * s), with
-    slot s = i*width + (j - skew*i - low).
+    """Pack d, whose coefficients are nonnegative, into one number: sum of
+    c * 10^(digits * s), with slot s = i*width + (j - skew*i - low).
 
-    Positive and negative coefficients fill two strings of zero-padded
-    ``digits``-wide slots, most significant first; the packed value is their
-    difference.
+    The number is one string of zero-padded ``digits``-wide slots, most
+    significant first.
     """
     stride = width - skew  # i*width + j - skew*i - low == i*stride + j - low
     top = max(i * stride + j for i, j in d) - low
-    zero = "0" * digits
-    pos = [zero] * (top + 1)
-    neg = None
+    slots = ["0" * digits] * (top + 1)
     for (i, j), c in d.items():
-        s = top - (i * stride + j - low)
-        if c > 0:
-            pos[s] = _int_text(c).zfill(digits)
-        else:
-            if neg is None:
-                neg = [zero] * (top + 1)
-            neg[s] = _int_text(-c).zfill(digits)
-    if neg is None:
-        return _Packed("".join(pos))
-    return _Packed(_EXACT.subtract(Decimal("".join(pos)), Decimal("".join(neg))))
+        slots[top - (i * stride + j - low)] = _int_text(c).zfill(digits)
+    return _Packed("".join(slots))
 
 
 def _mul_kronecker(a: dict[tuple[int, int], int], b: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
+    """The product of two polynomials with nonnegative coefficients, by one
+    big multiply of their packed digit strings."""
     def slots_per_row(skew: int) -> int:
         (lo_a, hi_a), (lo_b, hi_b) = _band(a, skew), _band(b, skew)
         return hi_a - lo_a + hi_b - lo_b + 1
@@ -198,40 +190,25 @@ def _mul_kronecker(a: dict[tuple[int, int], int], b: dict[tuple[int, int], int])
         if skew:
             break
     low_a, low_b = _band(a, skew)[0], _band(b, skew)[0]
-    # Any product coefficient is bounded by the product of absolute-sum norms;
-    # slots of base 10^digits > 2 * bound hold it as a balanced digit.
-    bound = sum(abs(c) for c in a.values()) * sum(abs(c) for c in b.values())
-    digits = len(_int_text(2 * bound))
+    # Any product coefficient is at most the product of the coefficient sums,
+    # so slots of base 10^digits above that hold each one as it stands.
+    digits = len(_int_text(sum(a.values()) * sum(b.values())))
     pa = _pack(a, width, skew, low_a, digits)
     pb = pa if a is b else _pack(b, width, skew, low_b, digits)
     prod = _big_mul(pa, pb)
     # Each number is dropped once read, so the product's text is built next
     # to one copy of the product and no operand.
     del pa, pb
-    sign = -1 if prod.is_signed() else 1
-    prod = prod.copy_abs()
     text = format(prod, "f")
     del prod
-    # Read |product| one slot at a time from the least significant end; a
-    # slot above half the base is negative and borrowed 1 from the next slot.
-    base = 10 ** digits
-    half = base >> 1
+    # Read the product one slot at a time from the least significant end.
     low = low_a + low_b
     out: dict[tuple[int, int], int] = {}
-    carry = 0
-    s = 0
-    for end in range(len(text), 0, -digits):
-        c = _text_int(text[max(end - digits, 0):end]) + carry
-        carry = c > half
-        if carry:
-            c -= base
+    for s, end in enumerate(range(len(text), 0, -digits)):
+        c = _text_int(text[max(end - digits, 0):end])
         if c:
             i, r = divmod(s, width)
-            out[i, r + skew * i + low] = sign * c
-        s += 1
-    if carry:
-        i, r = divmod(s, width)
-        out[i, r + skew * i + low] = sign
+            out[i, r + skew * i + low] = c
     return out
 
 
@@ -388,7 +365,7 @@ class BivarPoly(_SparsePoly):
         a, b = self._terms, other._terms
         if not a or not b:
             return BivarPoly.zero()
-        if len(a) * len(b) <= _SCHOOLBOOK_OPS:
+        if len(a) * len(b) <= _SCHOOLBOOK_OPS or min(a.values()) < 0 or min(b.values()) < 0:
             return BivarPoly._raw(_mul_schoolbook(a, b))
         return BivarPoly._raw(_mul_kronecker(a, b))
 

@@ -160,10 +160,16 @@ def cut_bound_poly(k: int, n: int, m: int) -> UniPoly:
     return gf_to_numerator(cut_gf(k, n, x_truncation=m)).eval_x1()
 
 
-def _eval_number(poly: UniPoly, value: Number) -> Number:
+def _eval_number(poly: UniPoly, value: Number, what: str) -> Number:
+    """poly at value.  For exact value = a/b the result's denominator divides
+    b^D, D the degree, so D * ceil(log2 b) bits are checked against the budget
+    before the Horner; float values skip the check."""
     if isinstance(value, float):
         return poly.evaluate(value)
-    return poly.evaluate(Fraction(value))
+    value = Fraction(value)
+    limits.DEFAULT_BUDGET.check_bits(poly.degree * (value.denominator - 1).bit_length(),
+                                     f"{what} denominator bits")
+    return poly.evaluate(value)
 
 
 def path_bound(k: int, n: int, m: int, p: Number) -> BoundResult:
@@ -171,7 +177,7 @@ def path_bound(k: int, n: int, m: int, p: Number) -> BoundResult:
     even m from below; m at or beyond x-degree k^n reproduces the exact value."""
     check_tree(k, n)
     _validate_prob(p, "p")
-    value = _eval_number(path_bound_poly(k, n, m), p)
+    value = _eval_number(path_bound_poly(k, n, m), p, f"path_bound({k}, {n}, {m})")
     return BoundResult(value, _bound_kind("path", m, k ** n), k, n, m)
 
 
@@ -179,7 +185,7 @@ def cut_bound(k: int, n: int, m: int, q: Number) -> BoundResult:
     """Truncation bound on the failure probability at edge-failure rate q."""
     check_tree(k, n)
     _validate_prob(q, "q")
-    value = _eval_number(cut_bound_poly(k, n, m), q)
+    value = _eval_number(cut_bound_poly(k, n, m), q, f"cut_bound({k}, {n}, {m})")
     return BoundResult(value, _bound_kind("cut", m, cut_x_degree(k, n)), k, n, m)
 
 

@@ -9,8 +9,9 @@ documented open issue that verification surfaces without failing.
 
 The quick scope is small checks only; the full scope adds the homology
 oracle, the exhaustive reliability routes, deep golden tables and the full
-bound-sandwich sweep.  From the command line on Python 3.11 with 2 cores the
-quick scope takes about 0.2 s and the full scope about 0.6 s.
+bound-sandwich sweep.  From the command line on Python 3.11 with 2 shared
+cores the quick scope takes about 0.1-0.2 s and the full scope about
+0.3-0.6 s, depending on the machine's load.
 
 A check that runs over many cases names its first failing case in its
 detail, and evaluates no case after it; on a passing run every case runs.

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeperc import bivar
+from treeperc import bivar, oracle
 from treeperc.bivar import BivarPoly, UniPoly, _int_text, _mul_kronecker, _mul_schoolbook, _text_int
 from treeperc.limits import InexactDivisionError
-from treeperc.resolutions import cut_gf, gf_to_numerator, path_gf
+from treeperc.resolutions import cut_gf, gf_to_numerator, multibrot, path_gf
 
 X = BivarPoly.monomial(1, 0)
 T = BivarPoly.monomial(0, 1)
@@ -35,6 +35,27 @@ def random_poly(rng: random.Random, max_x: int = 4, max_t: int = 4, terms: int =
 
 def term_dict(p: BivarPoly) -> dict[tuple[int, int], int]:
     return {(i, j): c for i, j, c in p.terms()}
+
+
+def nonnegative(d: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
+    return {key: abs(c) for key, c in d.items()}
+
+
+def signed_pairs(rng: random.Random) -> list[tuple[dict, dict]]:
+    """Operand pairs with negative coefficients: random, all-negative, and of
+    norms 127, 128, 255 and 256; squares pass one object twice."""
+    pairs = []
+    for _ in range(5):
+        a = term_dict(random_poly(rng))
+        neg = {key: -abs(c) for key, c in a.items()}
+        pairs += [(a, term_dict(random_poly(rng))), (a, a), (neg, neg), (neg, a)]
+    pairs.append(({(2, 3): -7}, {(1, 0): 5}))
+    pairs.append(({(0, 0): -1}, {(0, 0): -1}))
+    for norm in (127, 128, 255, 256):
+        edge = {(0, 0): -(norm - 1), (0, 1): 1}
+        pairs += [({(0, 0): -norm}, {(0, 0): 1}), ({(0, 0): norm}, {(0, 0): -1}),
+                  (edge, {(1, 0): -1}), (edge, edge)]
+    return pairs
 
 
 class TestAdd:
@@ -72,44 +93,72 @@ class TestMul:
     def test_kronecker_matches_schoolbook(self, rng):
         pairs = []
         for _ in range(25):
-            a = term_dict(random_poly(rng))
-            pairs.append((a, term_dict(random_poly(rng))))
+            a = nonnegative(term_dict(random_poly(rng)))
+            pairs.append((a, nonnegative(term_dict(random_poly(rng)))))
             pairs.append((a, a))  # same object: the squaring path
-        for _ in range(5):
-            neg = {key: -abs(c) for key, c in term_dict(random_poly(rng)).items()}
-            pairs.append((neg, neg))
-            pairs.append((neg, term_dict(random_poly(rng))))
-        pairs.append(({(2, 3): -7}, {(1, 0): 5}))
-        pairs.append(({(0, 0): -1}, {(0, 0): -1}))
-        # Norm sums 127, 128, 255 and 256 put the largest product entries just
-        # under or just over a slot's sign bit; each negative slot below a
-        # nonzero one makes the decode carry its borrow upward.
-        for norm in (127, 128, 255, 256):
-            edge = {(0, 0): -(norm - 1), (0, 1): 1}
-            pairs.append(({(0, 0): -norm}, {(0, 0): 1}))
-            pairs.append(({(0, 0): norm}, {(0, 0): -1}))
+        pairs.append(({(2, 3): 7}, {(1, 0): 5}))
+        pairs.append(({(0, 0): 1}, {(0, 0): 1}))
+        # Norm sums 10^w - 1, 10^w and 10^w + 1 put the largest product
+        # entries just under, at and just over a slot's width.
+        for norm in SLOT_EDGES[:9]:
+            edge = {(0, 0): norm - 1, (0, 1): 1}
+            pairs.append(({(0, 0): norm}, {(0, 0): 1}))
             pairs.append((edge, {(0, 0): 1}))
-            pairs.append((edge, {(1, 0): -1}))
-            pairs.append(({(0, 0): -(norm - 1), (1, 0): 1}, {(0, 0): 1}))
-            pairs.append(({(0, 0): 1, (0, 1): -(norm - 2), (1, 1): 1}, {(0, 0): 1}))
+            pairs.append((edge, {(1, 0): 1}))
+            pairs.append(({(0, 0): norm - 1, (1, 0): 1}, {(0, 0): 1}))
+            pairs.append(({(0, 0): 1, (0, 1): norm - 2, (1, 1): 1}, {(0, 0): 1}))
             pairs.append((edge, edge))
         for a, b in pairs:
             assert _mul_kronecker(a, b) == _mul_schoolbook(a, b), (a, b)
 
+    def test_signed_products_equal_schoolbook(self, rng, monkeypatch):
+        monkeypatch.setattr(bivar, "_SCHOOLBOOK_OPS", 0)
+        for a, b in signed_pairs(rng):
+            assert BivarPoly(a) * BivarPoly(b) == BivarPoly._raw(_mul_schoolbook(a, b)), (a, b)
+
+    def test_signed_product_above_the_cutoff_goes_to_schoolbook(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bivar, "_big_mul", lambda x, y: calls.append(1) or x * y)
+        a = {(i, j): i + j + 1 for i in range(12) for j in range(13)}
+        b = {(i, j): 2 * i + j + 1 for i in range(13) for j in range(12)}
+        b[5, 5] = -3
+        assert len(a) * len(b) > bivar._SCHOOLBOOK_OPS
+        assert BivarPoly(a) * BivarPoly(b) == BivarPoly._raw(_mul_schoolbook(a, b))
+        assert BivarPoly(b) * BivarPoly(b) == BivarPoly._raw(_mul_schoolbook(b, b))
+        assert not calls
+        assert BivarPoly(a) * BivarPoly(a) == BivarPoly._raw(_mul_schoolbook(a, a))
+        assert calls == [1]
+
     def test_one_big_multiply_per_product(self, monkeypatch):
         squares = []
         monkeypatch.setattr(bivar, "_big_mul", lambda x, y: squares.append(x is y) or x * y)
-        a = {(0, 0): 3, (2, 1): -5}
-        b = {(1, 3): 7, (0, 0): -1}
+        a = {(0, 0): 3, (2, 1): 5}
+        b = {(1, 3): 7, (0, 0): 1}
         _mul_kronecker(a, b)
         _mul_kronecker(a, a)
         assert squares == [False, True]
 
     def test_kronecker_large_coefficients(self):
         big = 10 ** 50
-        a = term_dict(poly({(1, 2): big, (2, 1): -big + 7, (0, 0): 3}))
+        a = term_dict(poly({(1, 2): big, (2, 1): big - 7, (0, 0): 3}))
         b = term_dict(poly({(1, 1): big - 1, (3, 0): 5}))
         assert _mul_kronecker(a, b) == _mul_schoolbook(a, b)
+
+    def test_recursions_send_only_nonnegative_operands_to_kronecker(self, monkeypatch):
+        seen = []
+        kronecker = bivar._mul_kronecker
+
+        def record(a, b):
+            seen.append(min(a.values()) >= 0 and min(b.values()) >= 0)
+            return kronecker(a, b)
+
+        monkeypatch.setattr(bivar, "_SCHOOLBOOK_OPS", 0)
+        monkeypatch.setattr(bivar, "_mul_kronecker", record)
+        for run in (lambda: path_gf(2, 4), lambda: multibrot(2, 6),
+                    lambda: oracle.cut_gf_recursive(2, 3)):
+            seen.clear()
+            run()
+            assert seen and all(seen)
 
 
 class TestPow:
@@ -139,6 +188,7 @@ class TestPow:
 coefficients = st.integers(-300, 300).filter(bool) | st.integers(-(10 ** 40), 10 ** 40).filter(bool)
 term_dicts = st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 6)), coefficients,
                              min_size=1, max_size=8)
+nonnegative_term_dicts = term_dicts.map(nonnegative)
 
 
 class TestKroneckerProperties:
@@ -147,11 +197,15 @@ class TestKroneckerProperties:
     @settings(derandomize=True, database=None, max_examples=100)
     @given(term_dicts, term_dicts)
     def test_kronecker_equals_schoolbook(self, a, b):
-        assert _mul_kronecker(a, b) == _mul_schoolbook(a, b)
-        assert _mul_kronecker(a, a) == _mul_schoolbook(a, a)
+        a_plus, b_plus = nonnegative(a), nonnegative(b)
+        assert _mul_kronecker(a_plus, b_plus) == _mul_schoolbook(a_plus, b_plus)
+        assert _mul_kronecker(a_plus, a_plus) == _mul_schoolbook(a_plus, a_plus)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bivar, "_SCHOOLBOOK_OPS", 0)  # signed products route to schoolbook
+            assert BivarPoly(a) * BivarPoly(b) == BivarPoly._raw(_mul_schoolbook(a, b))
 
     @settings(derandomize=True, database=None, max_examples=100)
-    @given(term_dicts, st.integers(0, 6), st.sampled_from([None, -1, 0, 1, 2]))
+    @given(nonnegative_term_dicts, st.integers(0, 6), st.sampled_from([None, -1, 0, 1, 2]))
     def test_power_equals_repeated_multiplication(self, a, e, m):
         expected = reduce(lambda acc, _: BivarPoly._raw(_mul_schoolbook(acc._terms, a)),
                           range(e), ONE)
@@ -162,17 +216,19 @@ class TestKroneckerProperties:
             assert BivarPoly(a).power(e, m) == expected
 
 
-# Coefficients around the slot sign bits (2^7, 2^8, 2^63) and past a 64-bit word.
-edge_coefficients = st.sampled_from([127, 128, 255, 256, 2 ** 63 - 1, 2 ** 63, 2 ** 70])
-banded_coefficients = coefficients | st.builds(lambda c, sign: sign * c, edge_coefficients,
-                                               st.sampled_from([1, -1]))
+# Norms on either side of a decimal slot width: a slot of w digits holds
+# coefficients below 10^w.
+SLOT_EDGES = [9, 10, 11, 99, 100, 101, 999, 1000, 1001, 10 ** 21 - 1, 10 ** 21, 10 ** 21 + 1]
+# The slot edges, and coefficients on either side of a 64-bit word.
+edge_coefficients = st.sampled_from(SLOT_EDGES + [2 ** 63 - 1, 2 ** 63, 2 ** 70])
+banded_coefficients = st.integers(1, 300) | st.integers(1, 10 ** 40) | edge_coefficients
 
 
 @st.composite
 def banded_pairs(draw):
-    """Two term dicts whose supports lie on bands j = skew*i + c (up to three
-    t-degrees wide) of one drawn skew; the second operand is the first one,
-    as the same object, half of the time."""
+    """Two nonnegative term dicts whose supports lie on bands j = skew*i + c
+    (up to three t-degrees wide) of one drawn skew; the second operand is the
+    first one, as the same object, half of the time."""
     skew = draw(st.integers(-2, 3))
 
     def band():
@@ -205,27 +261,19 @@ class TestSkewedPacking:
         assert bits and max(bits) < 1_000_000
 
 
-# Absolute-sum norms on either side of a decimal slot boundary: a slot of
-# base 10^w holds products whose norm bound is below 10^w / 2.
-SLOT_EDGES = [4, 5, 49, 50, 499, 500, 5 * 10 ** 20 - 1, 5 * 10 ** 20, 5 * 10 ** 20 + 1]
-
-
 @st.composite
 def slot_edge_pairs(draw):
-    """An operand whose norm is a slot edge (or a sign-bit or word edge),
-    times a signed monomial, so the product's norm bound is that edge and
-    its largest coefficient reaches it; or the operand squared.  Half of
-    the operands have only negative coefficients."""
-    norm = draw(st.sampled_from(SLOT_EDGES) | edge_coefficients)
+    """An operand whose norm is a slot edge (or a word edge), times a
+    monomial, so the product's norm bound is that edge and its largest
+    coefficient reaches it; or the operand squared."""
+    norm = draw(edge_coefficients)
     keys = st.tuples(st.integers(0, 3), st.integers(0, 5))
-    a = draw(st.dictionaries(keys, st.sampled_from([1, -1]), max_size=3))
+    a = draw(st.dictionaries(keys, st.just(1), max_size=3))
     key = draw(keys.filter(lambda k: k not in a))
-    a[key] = draw(st.sampled_from([1, -1])) * (norm - len(a))
-    if draw(st.booleans()):
-        a = {k: -abs(c) for k, c in a.items()}
+    a[key] = norm - len(a)
     if draw(st.booleans()):
         return a, a
-    return a, {draw(keys): draw(st.sampled_from([1, -1]))}
+    return a, {draw(keys): 1}
 
 
 class TestDecimalSlots:
@@ -237,22 +285,29 @@ class TestDecimalSlots:
         a, b = pair
         assert _mul_kronecker(a, b) == _mul_schoolbook(a, b)
 
-    def test_norm_bound_is_reached_on_both_sides_of_each_edge(self):
+    def test_norm_bound_is_reached_on_both_sides_of_each_edge(self, monkeypatch):
         for norm in SLOT_EDGES:
-            for sign in (1, -1):
-                a = {(0, 0): sign * norm}
-                assert _mul_kronecker(a, {(1, 2): 1}) == {(1, 2): sign * norm}
-                assert _mul_kronecker(a, {(1, 2): -1}) == {(1, 2): -sign * norm}
-                # a mixed-sign operand of the same norm, squared: negative
-                # slots borrow from the slots above them
-                edge = {(0, 0): -(norm - 2), (0, 1): sign, (1, 0): -1}
-                assert _mul_kronecker(edge, edge) == _mul_schoolbook(edge, edge)
+            a = {(0, 0): norm}
+            assert _mul_kronecker(a, {(1, 2): 1}) == {(1, 2): norm}
+            assert _mul_kronecker(a, a) == {(0, 0): norm * norm}
+            # an operand of the same norm, squared: the largest entry
+            # (norm - 2)^2 sits next to entries in every neighbouring slot
+            edge = {(0, 0): norm - 2, (0, 1): 1, (1, 0): 1}
+            assert _mul_kronecker(edge, edge) == _mul_schoolbook(edge, edge)
+        # the same norms with a sign, through the product's routing
+        monkeypatch.setattr(bivar, "_SCHOOLBOOK_OPS", 0)
+        for norm in SLOT_EDGES:
+            a = BivarPoly({(0, 0): -norm})
+            assert a * BivarPoly.monomial(1, 2) == BivarPoly.monomial(1, 2, -norm)
+            assert a * BivarPoly.monomial(1, 2, -1) == BivarPoly.monomial(1, 2, norm)
+            edge = {(0, 0): -(norm - 2), (0, 1): 1, (1, 0): -1}
+            assert BivarPoly(edge) * BivarPoly(edge) == BivarPoly._raw(_mul_schoolbook(edge, edge))
 
     def test_coefficients_above_the_digit_limit(self):
         limit = sys.get_int_max_str_digits()
         big = 10 ** 5000 + 12_345
-        a = {(0, 0): big, (1, 2): -3, (0, 1): -(big // 7)}
-        b = {(1, 1): -big + 1, (2, 0): 5, (0, 0): 2}
+        a = {(0, 0): big, (1, 2): 3, (0, 1): big // 7}
+        b = {(1, 1): big - 1, (2, 0): 5, (0, 0): 2}
         assert _mul_kronecker(a, b) == _mul_schoolbook(a, b)
         assert _mul_kronecker(a, a) == _mul_schoolbook(a, a)
         assert sys.get_int_max_str_digits() == limit
@@ -265,8 +320,8 @@ class TestDecimalSlots:
             return x * y
 
         monkeypatch.setattr(bivar, "_big_mul", big_mul)
-        a = {(0, 0): 3, (2, 1): -5, (1, 4): 2 ** 70}
-        _mul_kronecker(a, {(1, 3): 7, (0, 0): -1})
+        a = {(0, 0): 3, (2, 1): 5, (1, 4): 2 ** 70}
+        _mul_kronecker(a, {(1, 3): 7, (0, 0): 1})
         _mul_kronecker(a, a)
         assert len(seen) == 2
         for bound_x, bound_y, exact_x, exact_y in seen:

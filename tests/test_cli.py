@@ -215,6 +215,24 @@ class TestBound:
         assert obj["kind"] == "cut_upper"
         assert obj["clamped_float"] <= 1.0
 
+    def test_oversized_exact_value_refused_up_front(self, capsys, budget):
+        # C_{2,3,2} has degree 9 and B_{2,3,2} degree 6; at 1/5 each degree
+        # costs ceil(log2 5) = 3 denominator bits: 27 and 18 bits.
+        cases = [(("--ideal", "cut", "--q", "1/5"), "cut_bound(2, 3, 2)", 27),
+                 (("--ideal", "path", "--p", "1/5"), "path_bound(2, 3, 2)", 18)]
+        for side, label, needed in cases:
+            argv = ("bound", *side, "--k", "2", "--n", "3", "--m", "2")
+            with budget(max_coeff_bits=17):
+                code = main(list(argv))
+                captured = capsys.readouterr()
+                # a float point predicts no denominator and is evaluated
+                assert 0 < percolation.cut_bound(2, 3, 2, 0.2).value < 1
+            assert (code, captured.out) == (EXIT_BUDGET, "")
+            assert (f"{label} denominator bits budget exceeded: "
+                    f"needed {needed}, limit 17") in captured.err
+            code, out = run(capsys, *argv)
+            assert code == EXIT_OK and json.loads(out)["exact"]
+
 
 class TestCurve:
     def test_preset_deterministic(self, capsys):

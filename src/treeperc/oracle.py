@@ -13,7 +13,9 @@ Squarefree monomial sets are stored as variable bitmasks.  The three routes:
     whose x = 1 specialization equals the minimal numerator's;
   * multigraded_betti_homology reads each graded Betti number off the reduced
     rational homology of the upper Koszul subcomplexes indexed by the lcm
-    lattice, with matrix ranks by exact integer elimination.
+    lattice.  Boundary ranks are taken over GF(2); a rank mod 2 is at most
+    the rank over Q, and both homologies have the same Euler characteristic,
+    so GF(2) homology in at most one degree is the rational homology.
 
 alexander_dual enumerates minimal transversals; path systems and cut systems
 of a graph are each other's duals, which the tree and double-bridge fixtures
@@ -28,13 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from math import gcd
 
 from .bivar import BivarPoly
-from . import limits
-from .limits import BudgetExceededError, check_tree
-from .resolutions import BettiTable
+from .limits import BudgetExceededError, TreepercError, check_tree
+from .resolutions import BettiTable, _check_poly_budget
 from .trees import TreeSpec, enumerate_minimal_cuts, enumerate_path_generators
 
 ORACLE_STATE_CAP = 24  # 2^V states for the exhaustive route
@@ -129,8 +128,7 @@ def cut_gf_recursive(k: int, n: int, *, x_truncation: int | None = None) -> Biva
         g = f.power(k, power_trunc).exact_divide_x(k - 1)
         if x_truncation is not None:
             g = g.truncate_x(x_truncation)
-        limits.DEFAULT_BUDGET.check_terms(g.term_count())
-        limits.DEFAULT_BUDGET.check_bits(g.max_coeff_bits())
+        _check_poly_budget(g)
     return g
 
 
@@ -230,81 +228,58 @@ def alexander_dual(monomials: MonomialSet) -> MonomialSet:
 # -- multigraded homology ------------------------------------------------------
 
 
-def _integer_rank(rows: list[dict[int, int]]) -> int:
-    """Rank over Q of a sparse integer matrix given as row dicts, by exact
-    integer elimination with gcd normalization."""
-    work = [dict(r) for r in rows if r]
-    rank = 0
-    while work:
-        best = min(range(len(work)), key=lambda idx: len(work[idx]))
-        prow = work.pop(best)
-        pcol = min(prow, key=lambda c: (abs(prow[c]), c))
-        pval = prow[pcol]
-        rank += 1
-        reduced: list[dict[int, int]] = []
-        for row in work:
-            rv = row.get(pcol)
-            if rv is None:
-                reduced.append(row)
-                continue
-            combined = {c: pval * v for c, v in row.items() if c != pcol}
-            for c, v in prow.items():
-                if c == pcol:
-                    continue
-                nv = combined.get(c, 0) - rv * v
-                if nv:
-                    combined[c] = nv
-                else:
-                    combined.pop(c, None)
-            if combined:
-                g = reduce(gcd, combined.values())
-                if g > 1:
-                    combined = {c: v // g for c, v in combined.items()}
-                reduced.append(combined)
-        work = reduced
-    return rank
+def _gf2_rank(rows: list[int]) -> int:
+    """Rank over GF(2) of a matrix whose rows are int bitsets: each row is
+    reduced by the stored pivot row of its highest set bit until it vanishes
+    or its highest bit is a new pivot."""
+    pivots: dict[int, int] = {}
+    for row in rows:
+        while row:
+            top = row.bit_length()
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = row
+                break
+            row ^= pivot
+    return len(pivots)
 
 
-def _koszul_faces(b: int, gens: tuple[int, ...]) -> dict[int, list[int]]:
+def _koszul_faces(b: int, divisible: bytes) -> dict[int, list[int]]:
     """Faces of the upper Koszul subcomplex at multidegree b, keyed by
     dimension (|face| - 1, including the empty face at -1): subsets t of b
-    such that b minus t still contains some generator."""
+    such that b minus t still contains some generator, as divisible[b - t]
+    says."""
     faces: dict[int, list[int]] = {}
     sub = b
     while True:
         tau = b ^ sub  # sub runs over complements; tau over subsets
-        rest = sub
-        if any(g & rest == g for g in gens):
+        if divisible[sub]:
             faces.setdefault(tau.bit_count() - 1, []).append(tau)
         if sub == 0:
             break
         sub = (sub - 1) & b
-    for lst in faces.values():
-        lst.sort()
     return faces
 
 
 def _reduced_homology_dims(faces: dict[int, list[int]]) -> dict[int, int]:
-    """Reduced rational homology dimensions of a simplicial complex whose
-    faces (bitmasks, by dimension) are downward closed."""
+    """Nonzero reduced homology dimensions over GF(2) of a simplicial complex
+    whose faces (bitmasks, by dimension) are downward closed."""
     index = {d: {mask: i for i, mask in enumerate(lst)} for d, lst in faces.items()}
     boundary_rank: dict[int, int] = {}
     for d, lst in faces.items():
         if d < 0:
             continue
         target = index[d - 1]
-        rows: list[dict[int, int]] = []
+        rows: list[int] = []
         for mask in lst:
-            row: dict[int, int] = {}
-            sign = 1
+            row = 0
             bits = mask
             while bits:
                 low = bits & -bits
-                row[target[mask ^ low]] = sign
-                sign = -sign
+                row |= 1 << target[mask ^ low]
                 bits ^= low
             rows.append(row)
-        boundary_rank[d] = _integer_rank(rows)
+        boundary_rank[d] = _gf2_rank(rows)
     dims: dict[int, int] = {}
     for d, lst in faces.items():
         h = len(lst) - boundary_rank.get(d, 0) - boundary_rank.get(d + 1, 0)
@@ -325,14 +300,26 @@ def lcm_lattice(monomials: MonomialSet) -> list[int]:
 def multigraded_betti_homology(monomials: MonomialSet) -> BettiTable:
     """Graded Betti numbers of the quotient by the monomial ideal, from the
     reduced homology of upper Koszul subcomplexes over the lcm lattice:
-    the table entry at column d + 2, degree |b| collects dim H_d at b."""
+    the table entry at column d + 2, degree |b| collects dim H_d at b.
+
+    Homology is computed over GF(2) and is exact over Q only where it sits
+    in at most one degree.  A multidegree b whose GF(2) homology spans two
+    or more degrees has no such certificate, and TreepercError is raised
+    naming the variables of b; no table is returned.
+    """
     nvars = len(monomials.variables)
     if nvars > ORACLE_HOMOLOGY_CAP:
         raise BudgetExceededError("homology oracle variables", ORACLE_HOMOLOGY_CAP, nvars)
     entries: dict[tuple[int, int], int] = {(0, 0): 1}
+    gens = monomials.generators
+    divisible = bytes(any(g & s == g for g in gens) for s in range(1 << nvars))
     for b in lcm_lattice(monomials):
-        faces = _koszul_faces(b, monomials.generators)
-        for d, h in _reduced_homology_dims(faces).items():
+        dims = _reduced_homology_dims(_koszul_faces(b, divisible))
+        if len(dims) > 1:
+            raise TreepercError(
+                f"GF(2) homology at multidegree {'*'.join(monomials.support_names(b))} "
+                f"spans degrees {sorted(dims)}; its rational homology is not certified")
+        for d, h in dims.items():
             key = (d + 2, b.bit_count())
             entries[key] = entries.get(key, 0) + h
     return BettiTable(entries)

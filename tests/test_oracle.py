@@ -7,7 +7,7 @@ import pytest
 
 from treeperc import oracle
 from treeperc.bivar import BivarPoly
-from treeperc.limits import BudgetExceededError
+from treeperc.limits import BudgetExceededError, TreepercError
 from treeperc.oracle import (
     DOUBLE_BRIDGE_VARIABLES,
     MonomialSet,
@@ -241,10 +241,50 @@ class TestHomology:
         ms = path_monomials(TreeSpec(3, 2))
         assert multigraded_betti_homology(ms) == betti_table(path_gf(3, 2))
 
-    def test_double_bridge_first_syzygies(self):
-        # beta_1 of the quotient counts generators for any monomial ideal.
-        table = multigraded_betti_homology(double_bridge_path_monomials())
-        assert table.totals()[1] == 9
+    def test_path_23_matches_generating_function(self):
+        # The 14-variable path table, at the variable cap.
+        ms = path_monomials(TreeSpec(2, 3))
+        assert multigraded_betti_homology(ms) == betti_table(path_gf(2, 3))
+
+    @pytest.mark.parametrize("monomials, gf", [(cut_monomials, cut_gf),
+                                               (path_monomials, path_gf)])
+    def test_31_matches_generating_function(self, monomials, gf):
+        assert multigraded_betti_homology(monomials(TreeSpec(3, 1))) == betti_table(gf(3, 1))
+
+    def test_double_bridge_tables(self):
+        # Non-tree tables with no generating function, pinned as computed.
+        # beta_1 counts the generators (9 paths, 8 cuts); Alexander duality
+        # does not carry one table to the other, so both are pinned.
+        paths = multigraded_betti_homology(double_bridge_path_monomials())
+        assert paths.as_dict() == {
+            (0, 0): 1, (1, 2): 3, (1, 3): 4, (1, 4): 2, (2, 4): 11, (2, 5): 14,
+            (3, 5): 4, (3, 6): 27, (4, 7): 18, (5, 8): 4}
+        assert paths.totals() == (1, 9, 25, 31, 18, 4)
+        cuts = multigraded_betti_homology(double_bridge_cut_monomials())
+        assert cuts.as_dict() == {
+            (0, 0): 1, (1, 3): 2, (1, 4): 4, (1, 5): 2, (2, 5): 4, (2, 6): 13,
+            (3, 7): 14, (4, 8): 4}
+        assert cuts.totals() == (1, 8, 17, 14, 4)
+
+    def test_point_plus_circle_is_refused(self):
+        # At the top multidegree the upper Koszul complex is the point v
+        # beside the hollow triangle abc: reduced homology in degrees 0 and
+        # 1, so the GF(2) ranks certify nothing and no table is returned.
+        ms = MonomialSet.from_supports(("v", "a", "b", "c"),
+                                       [("a", "b", "c"), ("v", "c"), ("v", "a"), ("v", "b")])
+        with pytest.raises(TreepercError, match=r"multidegree v\*a\*b\*c "):
+            multigraded_betti_homology(ms)
+
+    def test_projective_plane_is_refused(self):
+        # Complements of the 10 triangles of the 6-vertex RP^2: at the top
+        # multidegree the complex is RP^2 itself, with h1 = h2 = 1 over GF(2)
+        # and no rational homology.  The GF(2) numbers must not be reported.
+        triangles = ("123", "134", "145", "156", "126", "235", "245", "246", "346", "356")
+        names = tuple(f"x{v}" for v in "123456")
+        ms = MonomialSet.from_supports(
+            names, [[f"x{v}" for v in "123456" if v not in tri] for tri in triangles])
+        with pytest.raises(TreepercError, match=r"multidegree x1\*x2\*x3\*x4\*x5\*x6 "):
+            multigraded_betti_homology(ms)
 
     def test_variable_cap(self, monkeypatch):
         # A cap of 5 must refuse the 6-variable depth-2 instance; the (2,3)
